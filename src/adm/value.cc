@@ -29,7 +29,33 @@ std::string_view ValueTypeToString(ValueType t) {
   return "?";
 }
 
+Value Value::String(std::string s) {
+  Value v;
+  v.type_ = ValueType::kString;
+  if (s.size() > kInlineStringBytes) {
+    v.data_ = std::make_shared<const std::string>(std::move(s));
+  } else if (s.capacity() > kInlineStringBytes) {
+    // A short string that arrives with a heap buffer (e.g. after a reserve)
+    // is re-made inline so short strings never hold an allocation.
+    v.data_.emplace<std::string>(s.data(), s.size());
+  } else {
+    v.data_ = std::move(s);
+  }
+  return v;
+}
+
 Value Value::MakeObject(Object fields) {
+  Value v;
+  v.type_ = ValueType::kObject;
+  // Already canonical (sorted, unique names), as stored and deserialized
+  // records are: keep the vector as it is.
+  if (std::adjacent_find(fields.begin(), fields.end(),
+                         [](const Field& a, const Field& b) {
+                           return a.first >= b.first;
+                         }) == fields.end()) {
+    v.data_ = std::make_shared<const Object>(std::move(fields));
+    return v;
+  }
   std::stable_sort(fields.begin(), fields.end(),
                    [](const Field& a, const Field& b) { return a.first < b.first; });
   // Duplicate names keep the last occurrence (JSON semantics).
@@ -42,9 +68,7 @@ Value Value::MakeObject(Object fields) {
       dedup.push_back(std::move(f));
     }
   }
-  Value v;
-  v.type_ = ValueType::kObject;
-  v.data_ = std::move(dedup);
+  v.data_ = std::make_shared<const Object>(std::move(dedup));
   return v;
 }
 

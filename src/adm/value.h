@@ -2,6 +2,7 @@
 #define SIMDB_ADM_VALUE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -33,11 +34,22 @@ std::string_view ValueTypeToString(ValueType t);
 /// A dynamically typed ADM value: the unit of data flowing through every
 /// layer (records, index keys, query results). Objects keep fields sorted by
 /// name so equality/comparison/hash are canonical.
+///
+/// Values are immutable once built. Lists, objects and strings longer than
+/// std::string's inline buffer keep their payload in a shared, read-only
+/// buffer, so copying a Value (a row column, a join output, an UNNEST
+/// record) bumps a reference count instead of copying the payload. Short
+/// strings (tokens, grams, names) stay inline and allocate nothing. The
+/// reference counts are atomic: copies of one Value may be made and dropped
+/// on different threads, and the payload may be read concurrently.
 class Value {
  public:
   using Array = std::vector<Value>;
   using Field = std::pair<std::string, Value>;
   using Object = std::vector<Field>;  // sorted by field name
+
+  /// Longest string kept inline (std::string's small-string capacity).
+  static inline const size_t kInlineStringBytes = std::string().capacity();
 
   /// Constructs MISSING (absent field), the bottom of the type order.
   Value() : type_(ValueType::kMissing) {}
@@ -66,22 +78,17 @@ class Value {
     v.data_ = d;
     return v;
   }
-  static Value String(std::string s) {
-    Value v;
-    v.type_ = ValueType::kString;
-    v.data_ = std::move(s);
-    return v;
-  }
+  static Value String(std::string s);
   static Value MakeArray(Array items) {
     Value v;
     v.type_ = ValueType::kArray;
-    v.data_ = std::move(items);
+    v.data_ = std::make_shared<const Array>(std::move(items));
     return v;
   }
   static Value MakeMultiset(Array items) {
     Value v;
     v.type_ = ValueType::kMultiset;
-    v.data_ = std::move(items);
+    v.data_ = std::make_shared<const Array>(std::move(items));
     return v;
   }
   /// Fields are sorted by name; duplicate names keep the last occurrence.
@@ -107,10 +114,12 @@ class Value {
   double AsNumber() const {
     return is_int64() ? static_cast<double>(AsInt64()) : AsDoubleExact();
   }
-  const std::string& AsString() const { return std::get<std::string>(data_); }
-  const Array& AsList() const { return std::get<Array>(data_); }
-  Array& MutableList() { return std::get<Array>(data_); }
-  const Object& AsObject() const { return std::get<Object>(data_); }
+  const std::string& AsString() const {
+    if (const auto* s = std::get_if<std::string>(&data_)) return *s;
+    return *std::get<SharedString>(data_);
+  }
+  const Array& AsList() const { return *std::get<SharedArray>(data_); }
+  const Object& AsObject() const { return *std::get<SharedObject>(data_); }
 
   /// Returns the field value, or MISSING when absent / not an object.
   const Value& GetField(std::string_view name) const;
@@ -134,17 +143,28 @@ class Value {
   /// int64; `{{ ... }}` parses as a multiset (AsterixDB ADM syntax).
   static Result<Value> FromJson(std::string_view text);
 
-  /// Binary serialization (storage format).
+  /// Binary serialization (storage and wire format).
   void Serialize(ByteWriter* w) const;
   static Result<Value> Deserialize(ByteReader* r);
 
-  /// Rough in-memory footprint in bytes (used for memtable budgets).
+  /// Exact number of bytes Serialize appends. Independent of memory layout
+  /// and of sharing, so exchange traffic accounting built on it is too.
+  size_t SerializedSize() const;
+
+  /// Rough in-memory footprint in bytes, counted per reference: a shared
+  /// payload is charged in full to every Value that refers to it (used for
+  /// memtable budgets and the query memory quota, where that is the
+  /// conservative choice).
   size_t MemoryUsage() const;
 
  private:
+  using SharedString = std::shared_ptr<const std::string>;
+  using SharedArray = std::shared_ptr<const Array>;
+  using SharedObject = std::shared_ptr<const Object>;
+
   ValueType type_;
-  std::variant<std::monostate, bool, int64_t, double, std::string, Array,
-               Object>
+  std::variant<std::monostate, bool, int64_t, double, std::string,
+               SharedString, SharedArray, SharedObject>
       data_;
 };
 

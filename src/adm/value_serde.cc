@@ -39,6 +39,37 @@ void Value::Serialize(ByteWriter* w) const {
   }
 }
 
+// Mirrors Serialize above, case by case.
+size_t Value::SerializedSize() const {
+  constexpr size_t kTag = 1, kLength = 4;
+  switch (type_) {
+    case ValueType::kMissing:
+    case ValueType::kNull:
+      return kTag;
+    case ValueType::kBoolean:
+      return kTag + 1;
+    case ValueType::kInt64:
+    case ValueType::kDouble:
+      return kTag + 8;
+    case ValueType::kString:
+      return kTag + kLength + AsString().size();
+    case ValueType::kArray:
+    case ValueType::kMultiset: {
+      size_t s = kTag + kLength;
+      for (const Value& v : AsList()) s += v.SerializedSize();
+      return s;
+    }
+    case ValueType::kObject: {
+      size_t s = kTag + kLength;
+      for (const Field& f : AsObject()) {
+        s += kLength + f.first.size() + f.second.SerializedSize();
+      }
+      return s;
+    }
+  }
+  return kTag;
+}
+
 Result<Value> Value::Deserialize(ByteReader* r) {
   SIMDB_ASSIGN_OR_RETURN(uint8_t tag, r->GetU8());
   if (tag > static_cast<uint8_t>(ValueType::kObject)) {

@@ -20,6 +20,13 @@ class Expr {
   virtual ~Expr() = default;
   virtual Result<adm::Value> Eval(const Tuple& row) const = 0;
   virtual std::string ToString() const = 0;
+
+  /// The value this expression denotes when it already exists in `row` or
+  /// in the expression itself (a column, a literal, a field of either), so
+  /// it can be read in place; nullptr when it must be computed or would be
+  /// an error (Eval then produces the value or the status). The pointer is
+  /// valid while `row` and the expression live.
+  virtual const adm::Value* Peek(const Tuple&) const { return nullptr; }
 };
 
 using ExprPtr = std::shared_ptr<const Expr>;
@@ -38,6 +45,11 @@ class ColumnExpr : public Expr {
     return row[static_cast<size_t>(index_)];
   }
 
+  const adm::Value* Peek(const Tuple& row) const override {
+    if (index_ < 0 || static_cast<size_t>(index_) >= row.size()) return nullptr;
+    return &row[static_cast<size_t>(index_)];
+  }
+
   std::string ToString() const override {
     return "$" + name_ + "@" + std::to_string(index_);
   }
@@ -54,6 +66,7 @@ class LiteralExpr : public Expr {
   explicit LiteralExpr(adm::Value value) : value_(std::move(value)) {}
 
   Result<adm::Value> Eval(const Tuple&) const override { return value_; }
+  const adm::Value* Peek(const Tuple&) const override { return &value_; }
   std::string ToString() const override { return value_.ToJson(); }
   const adm::Value& value() const { return value_; }
 
@@ -67,8 +80,16 @@ class FieldAccessExpr : public Expr {
       : base_(std::move(base)), field_(std::move(field)) {}
 
   Result<adm::Value> Eval(const Tuple& row) const override {
+    // Read the field straight out of the row when the record is there;
+    // otherwise compute the record first.
+    if (const adm::Value* base = base_->Peek(row)) return base->GetField(field_);
     SIMDB_ASSIGN_OR_RETURN(adm::Value base, base_->Eval(row));
     return base.GetField(field_);
+  }
+
+  const adm::Value* Peek(const Tuple& row) const override {
+    const adm::Value* base = base_->Peek(row);
+    return base == nullptr ? nullptr : &base->GetField(field_);
   }
 
   std::string ToString() const override {

@@ -127,7 +127,7 @@ Result<Rows> AssignOp::ExecutePartition(ExecContext& ctx, int,
   out.reserve(in.size());
   if (!ctx.batch_execution || !batch_.has_value()) {
     for (const Tuple& row : in) {
-      Tuple extended = row;
+      Tuple extended = ExtendedRow(row, exprs_.size());
       // Evaluate against the growing tuple so later expressions may
       // reference the columns produced by earlier ones.
       for (const ExprPtr& e : exprs_) {
@@ -154,7 +154,7 @@ Result<Rows> AssignOp::ExecutePartition(ExecContext& ctx, int,
     const size_t n = std::min(cap, in.size() - base);
     ids.Clear();
     for (size_t r = 0; r < n; ++r) {
-      Tuple extended = in[base + r];
+      Tuple extended = ExtendedRow(in[base + r], exprs_.size());
       for (size_t e = 0; e + 1 < exprs_.size(); ++e) {
         SIMDB_ASSIGN_OR_RETURN(Value v, exprs_[e]->Eval(extended));
         extended.push_back(std::move(v));
@@ -209,16 +209,31 @@ Result<Rows> ProjectOp::ExecutePartition(
 
 Result<Rows> SortOp::ExecutePartition(ExecContext&, int,
                                       const std::vector<const Rows*>& inputs) {
-  Rows out = *inputs[0];  // copy, then sort in place
-  std::stable_sort(out.begin(), out.end(),
-                   [this](const Tuple& a, const Tuple& b) {
-                     for (const SortKey& k : keys_) {
-                       int c = Value::Compare(a[static_cast<size_t>(k.column)],
-                                              b[static_cast<size_t>(k.column)]);
-                       if (c != 0) return k.ascending ? c < 0 : c > 0;
-                     }
-                     return false;
-                   });
+  // Stable-sort a permutation of row positions over the rows' key columns,
+  // then copy each row once into its final place: the input is not copied
+  // up front and no row moves during the sort.
+  const Rows& in = *inputs[0];
+  const size_t nkeys = keys_.size();
+  std::vector<const Value*> key_values(in.size() * nkeys);
+  for (size_t i = 0; i < in.size(); ++i) {
+    for (size_t k = 0; k < nkeys; ++k) {
+      key_values[i * nkeys + k] = &in[i][static_cast<size_t>(keys_[k].column)];
+    }
+  }
+  std::vector<uint32_t> order(in.size());
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<uint32_t>(i);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t ia, uint32_t ib) {
+    const Value* const* a = &key_values[ia * nkeys];
+    const Value* const* b = &key_values[ib * nkeys];
+    for (size_t k = 0; k < nkeys; ++k) {
+      int c = Value::Compare(*a[k], *b[k]);
+      if (c != 0) return keys_[k].ascending ? c < 0 : c > 0;
+    }
+    return false;
+  });
+  Rows out;
+  out.reserve(in.size());
+  for (uint32_t i : order) out.push_back(in[i]);
   return out;
 }
 
@@ -235,7 +250,7 @@ Result<Rows> UnnestOp::ExecutePartition(ExecContext&, int,
     }
     int64_t pos = 1;
     for (const Value& item : list.AsList()) {
-      Tuple extended = row;
+      Tuple extended = ExtendedRow(row, with_position_ ? 2 : 1);
       extended.push_back(item);
       if (with_position_) extended.push_back(Value::Int64(pos));
       out.push_back(std::move(extended));
@@ -273,7 +288,7 @@ Result<PartitionedRows> RankAssignOp::Execute(
   if (!in.empty()) {
     out[0].reserve(in[0].size());
     for (const Tuple& row : in[0]) {
-      Tuple extended = row;
+      Tuple extended = ExtendedRow(row, 1);
       extended.push_back(Value::Int64(rank++));
       out[0].push_back(std::move(extended));
     }

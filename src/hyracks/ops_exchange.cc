@@ -27,7 +27,7 @@ uint64_t HashKeys(const Tuple& row, const std::vector<int>& key_columns) {
 void AccountMove(const ExecContext& ctx, OpStats* stats, int src, int dst,
                  const Tuple& row) {
   if (stats == nullptr) return;
-  uint64_t bytes = TupleBytes(row);
+  uint64_t bytes = TupleWireBytes(row);
   if (ctx.topology.NodeOfPartition(src) == ctx.topology.NodeOfPartition(dst)) {
     stats->local_bytes += bytes;
   } else {

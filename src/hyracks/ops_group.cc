@@ -10,44 +10,46 @@ using adm::Value;
 
 namespace {
 
+/// Running state of one aggregate within one group.
+struct AggState {
+  Value acc;          // kSum / kMin / kMax / kFirst
+  int64_t count = 0;  // rows seen (the kCount result)
+  Value::Array list;  // kListify
+};
+
 struct GroupState {
-  Tuple keys;
-  std::vector<Value> accumulators;  // one per agg
-  std::vector<int64_t> counts;      // row counts per agg (for kCount)
-  std::vector<Value::Array> lists;  // for kListify
-  bool initialized = false;
+  Tuple keys;  // becomes the output row
+  std::vector<AggState> aggs;  // one per AggSpec
 };
 
 }  // namespace
 
 Result<Rows> HashGroupOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
-  // Group states keyed by the encoded key tuple; output in first-seen order
-  // so results are deterministic under any executor.
-  std::unordered_map<std::string, GroupState> groups;
-  std::vector<std::string> order;
+  // Group states in first-seen order (so results are deterministic under any
+  // executor), found through the encoded key tuple.
+  std::unordered_map<std::string, size_t> slots;
+  std::vector<GroupState> groups;
   for (const Tuple& row : *inputs[0]) {
     Tuple keys;
-    keys.reserve(key_exprs_.size());
+    keys.reserve(key_exprs_.size() + aggs_.size());  // the output row's width
     for (const ExprPtr& ke : key_exprs_) {
       SIMDB_ASSIGN_OR_RETURN(Value k, ke->Eval(row));
       keys.push_back(std::move(k));
     }
-    std::string encoded = storage::EncodeKey(keys);
-    auto [it, inserted] = groups.try_emplace(encoded);
-    GroupState& g = it->second;
+    auto [it, inserted] =
+        slots.try_emplace(storage::EncodeKey(keys), groups.size());
+    if (inserted) groups.emplace_back();
+    GroupState& g = groups[it->second];
     if (inserted) {
-      order.push_back(encoded);
       g.keys = std::move(keys);
-      g.accumulators.resize(aggs_.size());
-      g.counts.assign(aggs_.size(), 0);
-      g.lists.resize(aggs_.size());
-      g.initialized = true;
+      g.aggs.resize(aggs_.size());
     }
     for (size_t a = 0; a < aggs_.size(); ++a) {
       const AggSpec& spec = aggs_[a];
+      AggState& st = g.aggs[a];
       if (spec.kind == AggSpec::Kind::kCount) {
-        ++g.counts[a];
+        ++st.count;
         continue;
       }
       SIMDB_ASSIGN_OR_RETURN(Value v, spec.input->Eval(row));
@@ -56,37 +58,35 @@ Result<Rows> HashGroupOp::ExecutePartition(
           if (!v.is_numeric()) {
             return Status::TypeError("sum over non-numeric value");
           }
-          if (g.counts[a] == 0) {
-            g.accumulators[a] = v;
-          } else if (g.accumulators[a].is_int64() && v.is_int64()) {
-            g.accumulators[a] =
-                Value::Int64(g.accumulators[a].AsInt64() + v.AsInt64());
+          if (st.count == 0) {
+            st.acc = v;
+          } else if (st.acc.is_int64() && v.is_int64()) {
+            st.acc = Value::Int64(st.acc.AsInt64() + v.AsInt64());
           } else {
-            g.accumulators[a] =
-                Value::Double(g.accumulators[a].AsNumber() + v.AsNumber());
+            st.acc = Value::Double(st.acc.AsNumber() + v.AsNumber());
           }
-          ++g.counts[a];
+          ++st.count;
           break;
         }
         case AggSpec::Kind::kMin:
-          if (g.counts[a] == 0 || Value::Compare(v, g.accumulators[a]) < 0) {
-            g.accumulators[a] = v;
+          if (st.count == 0 || Value::Compare(v, st.acc) < 0) {
+            st.acc = v;
           }
-          ++g.counts[a];
+          ++st.count;
           break;
         case AggSpec::Kind::kMax:
-          if (g.counts[a] == 0 || Value::Compare(v, g.accumulators[a]) > 0) {
-            g.accumulators[a] = v;
+          if (st.count == 0 || Value::Compare(v, st.acc) > 0) {
+            st.acc = v;
           }
-          ++g.counts[a];
+          ++st.count;
           break;
         case AggSpec::Kind::kFirst:
-          if (g.counts[a] == 0) g.accumulators[a] = v;
-          ++g.counts[a];
+          if (st.count == 0) st.acc = v;
+          ++st.count;
           break;
         case AggSpec::Kind::kListify:
-          g.lists[a].push_back(std::move(v));
-          ++g.counts[a];
+          st.list.push_back(std::move(v));
+          ++st.count;
           break;
         case AggSpec::Kind::kCount:
           break;  // handled above
@@ -95,20 +95,19 @@ Result<Rows> HashGroupOp::ExecutePartition(
   }
   Rows rows;
   rows.reserve(groups.size());
-  for (const std::string& encoded : order) {
-    GroupState& g = groups[encoded];
+  for (GroupState& g : groups) {
     Tuple row = std::move(g.keys);
     for (size_t a = 0; a < aggs_.size(); ++a) {
+      AggState& st = g.aggs[a];
       switch (aggs_[a].kind) {
         case AggSpec::Kind::kCount:
-          row.push_back(Value::Int64(g.counts[a]));
+          row.push_back(Value::Int64(st.count));
           break;
         case AggSpec::Kind::kListify:
-          row.push_back(Value::MakeArray(std::move(g.lists[a])));
+          row.push_back(Value::MakeArray(std::move(st.list)));
           break;
         default:
-          row.push_back(g.counts[a] == 0 ? Value::Null()
-                                         : std::move(g.accumulators[a]));
+          row.push_back(st.count == 0 ? Value::Null() : std::move(st.acc));
       }
     }
     rows.push_back(std::move(row));

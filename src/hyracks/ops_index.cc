@@ -68,8 +68,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
       ++memo_hits;
       ReserveAdditional(rows, cached->second.size());
       for (int64_t pk : cached->second) {
-        Tuple extended = row;
-        extended.reserve(row.size() + 1);
+        Tuple extended = ExtendedRow(row, 1);
         extended.push_back(Value::Int64(pk));
         rows.push_back(std::move(extended));
       }
@@ -119,8 +118,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
     }
     ReserveAdditional(rows, pks.size());
     for (int64_t pk : pks) {
-      Tuple extended = row;
-      extended.reserve(row.size() + 1);
+      Tuple extended = ExtendedRow(row, 1);
       extended.push_back(Value::Int64(pk));
       rows.push_back(std::move(extended));
     }
@@ -167,7 +165,7 @@ Result<Rows> BtreeSearchOp::ExecutePartition(
     SIMDB_ASSIGN_OR_RETURN(std::vector<int64_t> pks,
                            ds_->BtreeSearch(p, index_, key));
     for (int64_t pk : pks) {
-      Tuple extended = row;
+      Tuple extended = ExtendedRow(row, 1);
       extended.push_back(Value::Int64(pk));
       rows.push_back(std::move(extended));
     }

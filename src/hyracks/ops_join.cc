@@ -2,11 +2,31 @@
 
 #include <unordered_map>
 
-#include "storage/key.h"
+#include "common/bytes.h"
 
 namespace simdb::hyracks {
 
 using adm::Value;
+
+namespace {
+
+/// Writes the row's join key (the storage::EncodeKey encoding of its key
+/// columns) into `*out`, reading the columns in place. False when a key is
+/// MISSING or NULL: such a row never joins.
+bool EncodeJoinKey(const Tuple& row, const std::vector<int>& columns,
+                   std::string* out) {
+  out->clear();
+  ByteWriter w(out);
+  w.PutU32(static_cast<uint32_t>(columns.size()));
+  for (int c : columns) {
+    const Value& v = row[static_cast<size_t>(c)];
+    if (v.is_missing() || v.is_null()) return false;
+    v.Serialize(&w);
+  }
+  return true;
+}
+
+}  // namespace
 
 Result<Rows> HashJoinOp::ExecutePartition(
     ExecContext& ctx, int, const std::vector<const Rows*>& inputs) {
@@ -14,44 +34,22 @@ Result<Rows> HashJoinOp::ExecutePartition(
   const Rows& right = *inputs[1];
   uint64_t probe_matches = 0;
   uint64_t residual_dropped = 0;
+  std::string key;
   // Build on the right side.
   std::unordered_map<std::string, std::vector<const Tuple*>> table;
   for (const Tuple& row : right) {
-    Tuple keys;
-    keys.reserve(right_keys_.size());
-    bool missing = false;
-    for (int c : right_keys_) {
-      const Value& v = row[static_cast<size_t>(c)];
-      if (v.is_missing() || v.is_null()) {
-        missing = true;
-        break;
-      }
-      keys.push_back(v);
-    }
-    if (missing) continue;
-    table[storage::EncodeKey(keys)].push_back(&row);
+    if (!EncodeJoinKey(row, right_keys_, &key)) continue;
+    table[key].push_back(&row);
   }
   // Probe with the left side.
   Rows rows;
   for (const Tuple& lrow : left) {
-    Tuple keys;
-    keys.reserve(left_keys_.size());
-    bool missing = false;
-    for (int c : left_keys_) {
-      const Value& v = lrow[static_cast<size_t>(c)];
-      if (v.is_missing() || v.is_null()) {
-        missing = true;
-        break;
-      }
-      keys.push_back(v);
-    }
-    if (missing) continue;
-    auto it = table.find(storage::EncodeKey(keys));
+    if (!EncodeJoinKey(lrow, left_keys_, &key)) continue;
+    auto it = table.find(key);
     if (it == table.end()) continue;
     for (const Tuple* rrow : it->second) {
       ++probe_matches;
-      Tuple combined = lrow;
-      combined.insert(combined.end(), rrow->begin(), rrow->end());
+      Tuple combined = ConcatRows(lrow, *rrow);
       if (residual_ != nullptr) {
         SIMDB_ASSIGN_OR_RETURN(Value keep, residual_->Eval(combined));
         if (!keep.is_boolean() || !keep.AsBoolean()) {
@@ -92,8 +90,7 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
   if (!use_batch) {
     for (const Tuple& lrow : left) {
       for (const Tuple& rrow : right) {
-        Tuple combined = lrow;
-        combined.insert(combined.end(), rrow.begin(), rrow.end());
+        Tuple combined = ConcatRows(lrow, rrow);
         SIMDB_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(combined));
         if (keep.is_boolean() && keep.AsBoolean()) {
           ++matches;
@@ -189,14 +186,11 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
         const bool keep = jaccard ? jacc_out[j] >= 0 : ed_out[j] >= 0;
         if (keep) {
           ++matches;
-          Tuple combined = left[l];
-          combined.insert(combined.end(), right[j].begin(), right[j].end());
-          rows.push_back(std::move(combined));
+          rows.push_back(ConcatRows(left[l], right[j]));
         }
       } else {
         ++bs.fallback_rows;
-        Tuple combined = left[l];
-        combined.insert(combined.end(), right[j].begin(), right[j].end());
+        Tuple combined = ConcatRows(left[l], right[j]);
         SIMDB_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(combined));
         if (keep.is_boolean() && keep.AsBoolean()) {
           ++matches;

@@ -64,7 +64,7 @@ Result<Rows> PrimaryLookupOp::ExecutePartition(
     SIMDB_ASSIGN_OR_RETURN(auto record, ds_->GetByPkInPartition(p, pk.AsInt64()));
     if (!record.has_value()) continue;
     ++hits;
-    Tuple extended = row;
+    Tuple extended = ExtendedRow(row, 1);
     extended.push_back(std::move(*record));
     rows.push_back(std::move(extended));
   }

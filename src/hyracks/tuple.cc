@@ -40,6 +40,12 @@ uint64_t TupleBytes(const Tuple& tuple) {
   return total;
 }
 
+uint64_t TupleWireBytes(const Tuple& tuple) {
+  uint64_t total = 4;  // column count
+  for (const adm::Value& v : tuple) total += v.SerializedSize();
+  return total;
+}
+
 uint64_t RowsCount(const PartitionedRows& rows) {
   uint64_t n = 0;
   for (const Rows& r : rows) n += r.size();

@@ -54,9 +54,31 @@ class RowSchema {
   std::vector<std::string> columns_;
 };
 
-/// Approximate wire size of a tuple, used by exchange operators to account
-/// network traffic for the cluster cost model.
+/// A copy of `row` with capacity for `extra` more columns, so appending
+/// them does not reallocate. Copying a column shares its payload.
+inline Tuple ExtendedRow(const Tuple& row, size_t extra) {
+  Tuple out;
+  out.reserve(row.size() + extra);
+  out.insert(out.end(), row.begin(), row.end());
+  return out;
+}
+
+/// `left` followed by `right`, allocated once at the final width.
+inline Tuple ConcatRows(const Tuple& left, const Tuple& right) {
+  Tuple out = ExtendedRow(left, right.size());
+  out.insert(out.end(), right.begin(), right.end());
+  return out;
+}
+
+/// In-memory footprint of a tuple counted per reference (Σ
+/// Value::MemoryUsage): what the memory quota charges for a held row.
 uint64_t TupleBytes(const Tuple& tuple);
+
+/// Bytes the tuple occupies in the rows wire encoding (a u32 column count,
+/// then each value's Value::Serialize bytes): what exchange operators
+/// account as network traffic for the cluster cost model. Independent of
+/// the in-memory layout.
+uint64_t TupleWireBytes(const Tuple& tuple);
 
 uint64_t RowsCount(const PartitionedRows& rows);
 

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <map>
 
+#include "adm/wire.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
 #include "hyracks/exec.h"
@@ -86,13 +87,37 @@ TEST_P(ExchangeProperty, BroadcastReplicatesExactly) {
     single[0] = part;
     EXPECT_EQ(Flatten(single), original);
   }
-  // Accounting: every tuple crosses to every partition exactly once.
+  // Accounting: every tuple crosses to every partition exactly once, charged
+  // at its wire size.
   uint64_t expected_total = 0;
   for (const Rows& part : in) {
-    for (const Tuple& t : part) expected_total += TupleBytes(t) * out.size();
+    for (const Tuple& t : part) expected_total += TupleWireBytes(t) * out.size();
   }
   EXPECT_EQ(stats.local_bytes + stats.remote_bytes, expected_total);
   EXPECT_GT(stats.remote_bytes, stats.local_bytes);  // 4 nodes: mostly remote
+}
+
+// The bytes an exchange accounts for a destination are the bytes the rows
+// wire frame carries for it: frame header and row count aside, Σ
+// TupleWireBytes equals the encoded size, whatever Value's memory layout.
+TEST_P(ExchangeProperty, AccountedBytesMatchTheWireEncoding) {
+  Random rng(GetParam() + 150);
+  PartitionedRows in = RandomRows(rng, 30);
+  for (Rows& part : in) {
+    for (Tuple& t : part) {
+      t.push_back(Value::MakeObject(
+          {{"name", Value::String(std::string(rng.Uniform(40), 'n'))},
+           {"tags", Value::MakeMultiset({Value::String("a"), Value::Null()})},
+           {"score", Value::Double(0.5)}}));
+    }
+  }
+  GatherOp op;
+  OpStats stats;
+  auto out = *op.Execute(ctx_, {&in}, &stats);
+  std::string frame;
+  transport::EncodeRowsFrame(out[0], &frame);
+  EXPECT_EQ(stats.local_bytes + stats.remote_bytes,
+            frame.size() - adm::kWireHeaderBytes - 4);
 }
 
 TEST_P(ExchangeProperty, GatherMovesEverythingToPartitionZero) {

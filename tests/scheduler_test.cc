@@ -12,10 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "common/cancellation.h"
 #include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "hyracks/exec.h"
 #include "hyracks/expr.h"
+#include "hyracks/budget.h"
 #include "hyracks/ops_basic.h"
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_group.h"
@@ -387,6 +389,164 @@ TEST(SchedulerTest, MergeGatherRouteTimeNotChargedToIdleDestinations) {
             << static_cast<int>(kind) << ", pool " << pool << ")";
       }
     }
+  }
+}
+
+// ---------- Memory budget with shared row payloads ----------
+//
+// Rows share their string payloads across operators, while the budget
+// charges every partition its logical bytes. These runs pin the contract:
+// charged bytes return to exactly 0 after success, operator failure,
+// cancellation and quota refusal, under every pool size, and the root
+// output is never released (its rows hold shared string payloads, so a
+// premature free is a use-after-free under ASan and a wrong answer here).
+
+/// Rows of an id and a string too long to stay inline (a shared payload).
+class LongStringSourceOp : public PartitionOperator {
+ public:
+  std::string name() const override { return "LONG-STRING-SOURCE"; }
+  int num_inputs() const override { return 0; }
+  Result<Rows> ExecutePartition(ExecContext&, int p,
+                                const std::vector<const Rows*>&) override {
+    Rows rows;
+    for (int i = 0; i < 40; ++i) {
+      int64_t id = p * 1000 + i;
+      rows.push_back({Value::Int64(id),
+                      Value::String("payload-shared-by-every-copy-" +
+                                    std::to_string(id))});
+    }
+    return rows;
+  }
+};
+
+/// Passes rows through; the first task to run it cancels the query.
+class CancelOp : public PartitionOperator {
+ public:
+  explicit CancelOp(CancellationToken* token) : token_(token) {}
+  std::string name() const override { return "CANCEL"; }
+  Result<Rows> ExecutePartition(ExecContext&, int,
+                                const std::vector<const Rows*>& inputs)
+      override {
+    token_->RequestCancel();
+    return *inputs[0];
+  }
+
+ private:
+  CancellationToken* token_;
+};
+
+/// Source -> ASSIGN -> HASH-EXCHANGE -> `middle` -> SORT -> MERGE-GATHER ->
+/// PROJECT: local, exchange and barrier-free tasks each release inputs.
+Job MakeBudgetJob(std::unique_ptr<PartitionOperator> middle) {
+  Job job;
+  int src = job.Add(std::make_unique<LongStringSourceOp>(), {},
+                    RowSchema({"id", "s"}));
+  int assigned = job.Add(
+      std::make_unique<AssignOp>(
+          std::vector<ExprPtr>{*Call("mul", {Col(0, "id"),
+                                             Lit(Value::Int64(7))})},
+          std::vector<std::string>{"id7"}),
+      {src}, RowSchema({"id", "s", "id7"}));
+  int hx = job.Add(std::make_unique<HashExchangeOp>(std::vector<int>{2}),
+                   {assigned}, RowSchema({"id", "s", "id7"}));
+  int mid = job.Add(std::move(middle), {hx}, RowSchema({"id", "s", "id7"}));
+  int sorted = job.Add(
+      std::make_unique<SortOp>(std::vector<SortKey>{{0, false}}), {mid},
+      RowSchema({"id", "s", "id7"}));
+  int gathered = job.Add(
+      std::make_unique<MergeGatherOp>(std::vector<SortKey>{{0, false}}),
+      {sorted}, RowSchema({"id", "s", "id7"}));
+  job.Add(std::make_unique<ProjectOp>(std::vector<int>{1, 0}), {gathered},
+          RowSchema({"s", "id"}));
+  return job;
+}
+
+struct BudgetedRun {
+  Status status = Status::OK();
+  std::string rows;
+  int64_t in_use_after = -1;
+  int64_t peak = 0;
+};
+
+BudgetedRun RunWithBudget(const Job& job, size_t pool_size,
+                          int64_t max_memory_bytes,
+                          const CancellationToken* cancel = nullptr) {
+  std::unique_ptr<ThreadPool> pool;
+  if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
+  ResourceBudget budget(max_memory_bytes, /*max_tasks=*/0);
+  ExecContext ctx;
+  ctx.pool = pool.get();
+  ctx.topology = {2, 2};
+  ctx.executor = ExecutorKind::kScheduler;
+  ctx.budget = &budget;
+  ctx.cancel = cancel;
+  Result<PartitionedRows> out = Executor::Run(job, ctx);
+  BudgetedRun r;
+  r.in_use_after = budget.memory_in_use();
+  r.peak = budget.peak_memory_bytes();
+  if (out.ok()) {
+    r.rows = Serialize(*out);
+  } else {
+    r.status = out.status();
+  }
+  return r;
+}
+
+TEST(SchedulerBudgetTest, ChargesReturnToZeroAfterSuccess) {
+  Job job = MakeBudgetJob(std::make_unique<FailOp>(std::set<int>{}));
+  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
+  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
+  ASSERT_NE(base.rows.find("payload-shared-by-every-copy-3039"),
+            std::string::npos);
+  for (size_t pool : kPoolSizes) {
+    for (int rep = 0; rep < 5; ++rep) {
+      BudgetedRun r = RunWithBudget(job, pool, /*max_memory_bytes=*/0);
+      ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+      // The root output survived every release and is read after the run.
+      EXPECT_EQ(r.rows, base.rows) << "pool " << pool;
+      EXPECT_GT(r.peak, 0) << "pool " << pool;
+      EXPECT_EQ(r.in_use_after, 0) << "pool " << pool;
+    }
+  }
+}
+
+TEST(SchedulerBudgetTest, ChargesReturnToZeroAfterOperatorFailure) {
+  Job job = MakeBudgetJob(std::make_unique<FailOp>(std::set<int>{1, 3}));
+  for (size_t pool : kPoolSizes) {
+    for (int rep = 0; rep < 5; ++rep) {
+      BudgetedRun r = RunWithBudget(job, pool, /*max_memory_bytes=*/0);
+      EXPECT_EQ(r.status.code(), StatusCode::kInternal) << "pool " << pool;
+      EXPECT_NE(r.status.message().find("boom 1"), std::string::npos)
+          << r.status.ToString();
+      EXPECT_GT(r.peak, 0) << "pool " << pool;
+      EXPECT_EQ(r.in_use_after, 0) << "pool " << pool;
+    }
+  }
+}
+
+TEST(SchedulerBudgetTest, ChargesReturnToZeroAfterCancellation) {
+  for (size_t pool : kPoolSizes) {
+    for (int rep = 0; rep < 5; ++rep) {
+      CancellationToken token;
+      Job job = MakeBudgetJob(std::make_unique<CancelOp>(&token));
+      BudgetedRun r = RunWithBudget(job, pool, /*max_memory_bytes=*/0, &token);
+      EXPECT_EQ(r.status.code(), StatusCode::kCancelled)
+          << "pool " << pool << ": " << r.status.ToString();
+      EXPECT_GT(r.peak, 0) << "pool " << pool;
+      EXPECT_EQ(r.in_use_after, 0) << "pool " << pool;
+    }
+  }
+}
+
+TEST(SchedulerBudgetTest, ChargesReturnToZeroAfterQuotaRefusal) {
+  Job job = MakeBudgetJob(std::make_unique<FailOp>(std::set<int>{}));
+  BudgetedRun unlimited = RunWithBudget(job, 2, /*max_memory_bytes=*/0);
+  ASSERT_TRUE(unlimited.status.ok());
+  for (size_t pool : kPoolSizes) {
+    BudgetedRun r = RunWithBudget(job, pool, unlimited.peak / 2);
+    EXPECT_EQ(r.status.code(), StatusCode::kResourceExhausted)
+        << "pool " << pool << ": " << r.status.ToString();
+    EXPECT_EQ(r.in_use_after, 0) << "pool " << pool;
   }
 }
 

@@ -1,8 +1,47 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
+#include <thread>
+
 #include "adm/value.h"
 #include "adm/wire.h"
 #include "common/random.h"
+
+// Counts this thread's heap allocations so tests can assert that a code
+// path allocates nothing. Replaces the global operator new/delete for this
+// test binary only, and not under ASan/TSan, whose runtimes own operator new
+// (shared libraries would then pair their new with this delete); there the
+// tests fall back to checking where the bytes live.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define SIMDB_COUNT_ALLOCATIONS 0
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define SIMDB_COUNT_ALLOCATIONS 0
+#endif
+#endif
+#ifndef SIMDB_COUNT_ALLOCATIONS
+#define SIMDB_COUNT_ALLOCATIONS 1
+#endif
+
+namespace {
+thread_local size_t t_allocations = 0;
+}  // namespace
+
+#if SIMDB_COUNT_ALLOCATIONS
+// Out of line, so the compiler does not pair an inlined malloc with a
+// caller's delete and warn about a mismatch.
+[[gnu::noinline]] void* operator new(std::size_t n) {
+  ++t_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
+#endif
 
 namespace simdb::adm {
 namespace {
@@ -344,6 +383,181 @@ TEST(MemoryUsageTest, GrowsWithContent) {
   Value small = Value::Int64(1);
   Value big = Value::String(std::string(1000, 'x'));
   EXPECT_GT(big.MemoryUsage(), small.MemoryUsage() + 900);
+}
+
+// ---------- Shared immutable payloads ----------
+
+std::string Bytes(const Value& v) {
+  std::string buf;
+  ByteWriter w(&buf);
+  v.Serialize(&w);
+  return buf;
+}
+
+/// An equal value built from scratch: every string, list and object is a
+/// fresh allocation, so nothing is shared with `v`.
+Value Rebuild(const Value& v) {
+  switch (v.type()) {
+    case ValueType::kString:
+      return Value::String(std::string(v.AsString().data(), v.AsString().size()));
+    case ValueType::kArray:
+    case ValueType::kMultiset: {
+      Value::Array items;
+      for (const Value& item : v.AsList()) items.push_back(Rebuild(item));
+      return v.is_array() ? Value::MakeArray(std::move(items))
+                          : Value::MakeMultiset(std::move(items));
+    }
+    case ValueType::kObject: {
+      Value::Object fields;
+      for (const Value::Field& f : v.AsObject()) {
+        fields.emplace_back(std::string(f.first), Rebuild(f.second));
+      }
+      return Value::MakeObject(std::move(fields));
+    }
+    default:
+      return v;
+  }
+}
+
+/// A record mixing inline and shared payloads at several depths.
+Value RandomRecord(Random& rng) {
+  std::string text;
+  for (uint64_t i = 0, n = 16 + rng.Uniform(60); i < n; ++i) {
+    text.push_back(static_cast<char>('a' + rng.Uniform(26)));
+  }
+  Value::Array tokens;
+  for (uint64_t i = 0, n = rng.Uniform(6); i < n; ++i) {
+    tokens.push_back(Value::String(text.substr(0, 1 + rng.Uniform(20))));
+  }
+  return Value::MakeObject({{"id", Value::Int64(rng.UniformRange(0, 99))},
+                            {"text", Value::String(text)},
+                            {"tokens", Value::MakeMultiset(std::move(tokens))},
+                            {"nested", RandomValue(rng, 0)}});
+}
+
+TEST(SharedPayloadTest, CopySharesThePayload) {
+  Value s = Value::String(std::string(100, 's'));
+  Value s_copy = s;
+  EXPECT_EQ(s_copy.AsString().data(), s.AsString().data());
+
+  Value list = Value::MakeArray({Value::Int64(1), s});
+  Value list_copy = list;
+  EXPECT_EQ(&list_copy.AsList(), &list.AsList());
+  // The element is itself a copy of `s`: shared, not duplicated.
+  EXPECT_EQ(list.AsList()[1].AsString().data(), s.AsString().data());
+
+  Value obj = Value::MakeObject({{"l", list}});
+  Value obj_copy = obj;
+  EXPECT_EQ(&obj_copy.AsObject(), &obj.AsObject());
+
+  Value assigned;
+  assigned = obj;
+  EXPECT_EQ(&assigned.AsObject(), &obj.AsObject());
+  EXPECT_EQ(&assigned.GetField("l").AsList(), &list.AsList());
+}
+
+TEST(SharedPayloadTest, SharedCopyAndRebuiltValueAgree) {
+  Random rng(2024);
+  for (int i = 0; i < 300; ++i) {
+    Value v = RandomRecord(rng);
+    Value copy = v;
+    Value rebuilt = Rebuild(v);
+    ASSERT_NE(&rebuilt.AsObject(), &v.AsObject());
+    for (const Value* other : {&copy, &rebuilt}) {
+      EXPECT_EQ(Value::Compare(v, *other), 0);
+      EXPECT_EQ(Value::Compare(*other, v), 0);
+      EXPECT_EQ(other->Hash(), v.Hash());
+      EXPECT_EQ(other->ToJson(), v.ToJson());
+      EXPECT_EQ(Bytes(*other), Bytes(v));
+    }
+    // Ordering against a different value does not depend on sharing either.
+    Value w = RandomRecord(rng);
+    EXPECT_EQ(Value::Compare(copy, w), Value::Compare(rebuilt, w));
+  }
+}
+
+TEST(SharedPayloadTest, SerializedSizeMatchesTheEncoding) {
+  Random rng(77);
+  std::vector<Value> values = {Value::Missing(), Value::Null(),
+                               Value::Boolean(true), Value::Int64(-3),
+                               Value::Double(1.5), Value::String(""),
+                               Value::String(std::string(15, 'x')),
+                               Value::String(std::string(16, 'y')),
+                               Value::MakeArray({}), Value::MakeObject({})};
+  for (int i = 0; i < 200; ++i) {
+    values.push_back(RandomValue(rng, 0));
+    values.push_back(RandomRecord(rng));
+  }
+  for (const Value& v : values) {
+    Value copy = v;
+    Value rebuilt = Rebuild(v);
+    EXPECT_EQ(v.SerializedSize(), Bytes(v).size()) << v.ToJson();
+    EXPECT_EQ(copy.SerializedSize(), Bytes(v).size()) << v.ToJson();
+    EXPECT_EQ(rebuilt.SerializedSize(), Bytes(v).size()) << v.ToJson();
+  }
+}
+
+TEST(SharedPayloadTest, ShortStringsStayInlineAndAllocateNothing) {
+  ASSERT_GE(Value::kInlineStringBytes, 15u);
+  const std::string longest(Value::kInlineStringBytes, 'g');
+  for (size_t len : {size_t{0}, size_t{2}, size_t{15}, longest.size()}) {
+    std::string text = longest.substr(0, len);
+    size_t before = t_allocations;
+    Value v = Value::String(text);
+    Value copy = v;
+    Value moved = std::move(copy);
+    size_t made = t_allocations - before;
+    EXPECT_EQ(made, 0u) << "length " << len;
+    // The characters live inside the Value object itself.
+    const char* data = moved.AsString().data();
+    const char* self = reinterpret_cast<const char*>(&moved);
+    EXPECT_TRUE(data >= self && data < self + sizeof(Value)) << len;
+    EXPECT_EQ(moved.AsString(), text);
+  }
+  // A short string that arrives with a heap buffer is made inline too.
+  std::string reserved = "gram";
+  reserved.reserve(256);
+  Value from_reserved = Value::String(std::move(reserved));
+  const char* data = from_reserved.AsString().data();
+  const char* self = reinterpret_cast<const char*>(&from_reserved);
+  EXPECT_TRUE(data >= self && data < self + sizeof(Value));
+  EXPECT_EQ(from_reserved.AsString(), "gram");
+  // Control: a longer string is shared, built with heap allocations.
+  size_t before = t_allocations;
+  Value shared = Value::String(std::string(Value::kInlineStringBytes + 1, 'h'));
+  if (SIMDB_COUNT_ALLOCATIONS) {
+    EXPECT_GT(t_allocations - before, 0u);
+  }
+  data = shared.AsString().data();
+  self = reinterpret_cast<const char*>(&shared);
+  EXPECT_FALSE(data >= self && data < self + sizeof(Value));
+}
+
+TEST(SharedPayloadTest, CopiesAcrossThreadsAreSafe) {
+  Value record = Value::MakeObject(
+      {{"text", Value::String(std::string(64, 't'))},
+       {"tokens", Value::MakeArray({Value::String(std::string(32, 'a')),
+                                    Value::String("b"), Value::Int64(3)})}});
+  Value list = record.GetField("tokens");
+  const uint64_t record_hash = record.Hash();
+  const uint64_t list_hash = list.Hash();
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Value> held;
+      for (int i = 0; i < 4000; ++i) {
+        held.push_back((i + t) % 2 == 0 ? record : list);
+        if (held.size() > 16) held.erase(held.begin(), held.begin() + 8);
+        const Value& v = held.back();
+        if (v.Hash() != (v.is_object() ? record_hash : list_hash)) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(record.Hash(), record_hash);
+  EXPECT_EQ(&record.GetField("tokens").AsList(), &list.AsList());
 }
 
 }  // namespace
