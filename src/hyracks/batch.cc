@@ -22,6 +22,13 @@ bool AllInt64(const adm::Value& v) {
 
 }  // namespace
 
+StringArg::StringArg(const ExprPtr& expr) : source_(expr.get()) {
+  if (const auto* call = dynamic_cast<const CallExpr*>(expr.get())) {
+    source_ = call->args().size() == 1 ? call->args()[0].get() : nullptr;
+    fn_ = call->name();
+  }
+}
+
 std::optional<SimBatchCall> MatchSimCheckCall(const ExprPtr& expr) {
   const auto* call = dynamic_cast<const CallExpr*>(expr.get());
   if (call == nullptr || call->args().size() != 3) return std::nullopt;
@@ -40,6 +47,8 @@ std::optional<SimBatchCall> MatchSimCheckCall(const ExprPtr& expr) {
   out.arg_a = call->args()[0];
   out.arg_b = call->args()[1];
   out.threshold = lit->value().AsNumber();
+  out.key_a = StringArg(out.arg_a);
+  out.key_b = StringArg(out.arg_b);
   return out;
 }
 
@@ -130,37 +139,36 @@ void TokenIdEncoder::EncodeInts(const adm::Value& v,
   std::sort(out->begin(), out->end());
 }
 
-bool TokenIdEncoder::EncodePair(const adm::Value& a, const adm::Value& b,
-                                std::vector<uint32_t>* out_a,
-                                std::vector<uint32_t>* out_b) {
-  if (!a.is_list() || !b.is_list()) return false;
-  // Same dispatch order as CheckJaccard: all-strings wins over all-int64
-  // (both are vacuously true on empty lists).
-  if (AllStrings(a) && AllStrings(b)) {
-    EncodeStrings(a, out_a);
-    EncodeStrings(b, out_b);
-    return true;
+void TokenIdEncoder::Encode(const adm::Value& v, EncodedList* out) {
+  out->ids.clear();
+  out->strings = v.is_list() && AllStrings(v);
+  out->ints = v.is_list() && (out->strings ? v.AsList().empty() : AllInt64(v));
+  if (out->strings) {
+    EncodeStrings(v, &out->ids);
+  } else if (out->ints) {
+    EncodeInts(v, &out->ids);
   }
-  if (AllInt64(a) && AllInt64(b)) {
-    EncodeInts(a, out_a);
-    EncodeInts(b, out_b);
-    return true;
-  }
-  return false;
 }
 
-bool TokenIdEncoder::EncodeValue(const adm::Value& v,
-                                 std::vector<uint32_t>* out) {
-  if (!v.is_list()) return false;
-  if (AllStrings(v)) {
-    EncodeStrings(v, out);
-    return true;
+SimArgEncoder::SimArgEncoder(const SimBatchCall& call)
+    : call_(call), shared_memo_(call.key_a.SameFunction(call.key_b)) {}
+
+Result<const EncodedList*> SimArgEncoder::Arg(int i, const Tuple& row) {
+  const std::string* key = (i == 0 ? call_.key_a : call_.key_b).Key(row);
+  StringMap<EncodedList>& memo = memos_[shared_memo_ ? 0 : i];
+  if (key != nullptr) {
+    auto it = memo.find(*key);
+    if (it != memo.end()) {
+      ++memo_hits_;
+      return &it->second;
+    }
   }
-  if (AllInt64(v)) {
-    EncodeInts(v, out);
-    return true;
-  }
-  return false;
+  SIMDB_ASSIGN_OR_RETURN(adm::Value v,
+                         (i == 0 ? call_.arg_a : call_.arg_b)->Eval(row));
+  EncodedList* out =
+      key != nullptr ? &memo.try_emplace(*key).first->second : &scratch_[i];
+  encoder_.Encode(v, out);
+  return out;
 }
 
 }  // namespace simdb::hyracks

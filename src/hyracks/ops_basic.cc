@@ -43,8 +43,7 @@ Result<Rows> SelectOp::ExecutePartition(ExecContext& ctx, int,
 
   const SimBatchCall& call = *batch_;
   const size_t cap = BatchCapacity(ctx);
-  TokenIdEncoder encoder;
-  std::vector<uint32_t> enc_a, enc_b;
+  SimArgEncoder args(call);
   SimIdBatch ids;
   SimCharBatch chars;
   std::vector<int8_t> verdict;  // 0 drop, 1 keep, 2 awaiting kernel
@@ -58,17 +57,21 @@ Result<Rows> SelectOp::ExecutePartition(ExecContext& ctx, int,
       // Arguments evaluate in CallExpr order so evaluation errors surface
       // exactly where the tuple path surfaces them; the threshold is a
       // literal and cannot error.
-      SIMDB_ASSIGN_OR_RETURN(Value va, call.arg_a->Eval(row));
-      SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(row));
       bool staged = false;
       if (call.kind == SimBatchCall::Kind::kJaccardCheck) {
-        if (encoder.EncodePair(va, vb, &enc_a, &enc_b)) {
-          ids.Push(static_cast<uint32_t>(r), enc_a, enc_b);
+        SIMDB_ASSIGN_OR_RETURN(const EncodedList* ea, args.Arg(0, row));
+        SIMDB_ASSIGN_OR_RETURN(const EncodedList* eb, args.Arg(1, row));
+        if (SameSpace(*ea, *eb)) {
+          ids.Push(static_cast<uint32_t>(r), ea->ids, eb->ids);
           staged = true;
         }
-      } else if (va.is_string() && vb.is_string()) {
-        chars.Push(static_cast<uint32_t>(r), va.AsString(), vb.AsString());
-        staged = true;
+      } else {
+        SIMDB_ASSIGN_OR_RETURN(Value va, call.arg_a->Eval(row));
+        SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(row));
+        if (va.is_string() && vb.is_string()) {
+          chars.Push(static_cast<uint32_t>(r), va.AsString(), vb.AsString());
+          staged = true;
+        }
       }
       if (staged) {
         verdict[r] = 2;
@@ -105,6 +108,7 @@ Result<Rows> SelectOp::ExecutePartition(ExecContext& ctx, int,
       if (verdict[r] == 1) out.push_back(in[base + r]);
     }
   }
+  bs.memo_hits = args.memo_hits();
   bs.Emit(ctx);
   return out;
 }
@@ -148,7 +152,7 @@ Result<Rows> AssignOp::ExecutePartition(ExecContext& ctx, int,
   const SimBatchCall& call = *batch_;
   const size_t cap = BatchCapacity(ctx);
   TokenIdEncoder encoder;
-  std::vector<uint32_t> enc_a, enc_b;
+  EncodedList enc_a, enc_b;
   SimIdBatch ids;
   for (size_t base = 0; base < in.size(); base += cap) {
     const size_t n = std::min(cap, in.size() - base);
@@ -162,9 +166,11 @@ Result<Rows> AssignOp::ExecutePartition(ExecContext& ctx, int,
       // Same argument evaluation order as the tuple path's final CallExpr.
       SIMDB_ASSIGN_OR_RETURN(Value va, call.arg_a->Eval(extended));
       SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(extended));
-      if (encoder.EncodePair(va, vb, &enc_a, &enc_b)) {
+      encoder.Encode(va, &enc_a);
+      encoder.Encode(vb, &enc_b);
+      if (SameSpace(enc_a, enc_b)) {
         ++bs.rows;
-        ids.Push(static_cast<uint32_t>(out.size()), enc_a, enc_b);
+        ids.Push(static_cast<uint32_t>(out.size()), enc_a.ids, enc_b.ids);
         out.push_back(std::move(extended));  // final column filled below
       } else {
         ++bs.fallback_rows;

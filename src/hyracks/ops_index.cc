@@ -1,7 +1,6 @@
 #include "hyracks/ops_index.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "hyracks/batch.h"
 #include "similarity/edit_distance.h"
@@ -57,23 +56,26 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
   BatchStats bs;
   Rows rows;
   // Duplicate search keys are common (e.g. popular outer values after
-  // a broadcast); memoize per-key candidate lists for this partition.
-  std::unordered_map<std::string, std::vector<int64_t>> memo;
+  // a broadcast); memoize per-key candidate lists for this partition, keyed
+  // on the string the key expression reads (a hit skips its Eval too).
+  StringMap<std::vector<int64_t>> memo;
   for (const Tuple& row : *inputs[0]) {
+    const std::string* memo_key = key_string_.Key(row);
+    if (memo_key != nullptr) {
+      auto cached = memo.find(*memo_key);
+      if (cached != memo.end()) {
+        ++memo_hits;
+        ReserveAdditional(rows, cached->second.size());
+        for (int64_t pk : cached->second) {
+          Tuple extended = ExtendedRow(row, 1);
+          extended.push_back(Value::Int64(pk));
+          rows.push_back(std::move(extended));
+        }
+        continue;
+      }
+    }
     SIMDB_ASSIGN_OR_RETURN(Value key, key_expr_->Eval(row));
     if (key.is_missing() || key.is_null()) continue;
-    std::string memo_key = key.ToJson();
-    auto cached = memo.find(memo_key);
-    if (cached != memo.end()) {
-      ++memo_hits;
-      ReserveAdditional(rows, cached->second.size());
-      for (int64_t pk : cached->second) {
-        Tuple extended = ExtendedRow(row, 1);
-        extended.push_back(Value::Int64(pk));
-        rows.push_back(std::move(extended));
-      }
-      continue;
-    }
     SIMDB_ASSIGN_OR_RETURN(std::vector<std::string> tokens,
                            storage::ExtractIndexTokens(*index_spec_, key));
     int t = 0;
@@ -102,7 +104,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
     // corner-case branch (scan + verify) is responsible for the row.
     if (t <= 0 || tokens.empty()) {
       ++corner_rows;
-      memo.emplace(std::move(memo_key), std::vector<int64_t>());
+      if (memo_key != nullptr) memo.try_emplace(*memo_key);
       continue;
     }
     SIMDB_ASSIGN_OR_RETURN(
@@ -122,7 +124,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
       extended.push_back(Value::Int64(pk));
       rows.push_back(std::move(extended));
     }
-    memo.emplace(std::move(memo_key), std::move(pks));
+    if (memo_key != nullptr) memo.try_emplace(*memo_key, std::move(pks));
   }
   if (profiling) {
     // The full set is emitted (zeros included) so the profile's counter

@@ -4,6 +4,7 @@
 #include <string>
 #include <vector>
 
+#include "hyracks/batch.h"
 #include "hyracks/exec.h"
 #include "hyracks/expr.h"
 #include "storage/catalog.h"
@@ -33,6 +34,7 @@ class InvertedIndexSearchOp : public PartitionOperator {
       : dataset_(std::move(dataset)),
         index_(std::move(index)),
         key_expr_(std::move(key_expr)),
+        key_string_(key_expr_),
         spec_(spec) {}
   std::string name() const override {
     return "INVERTED-SEARCH(" + dataset_ + "." + index_ + ")";
@@ -49,6 +51,7 @@ class InvertedIndexSearchOp : public PartitionOperator {
   std::string dataset_;
   std::string index_;
   ExprPtr key_expr_;
+  StringArg key_string_;  // keys the per-partition duplicate-key memo
   SimSearchSpec spec_;
   storage::Dataset* ds_ = nullptr;                 // resolved by Prepare
   const storage::IndexSpec* index_spec_ = nullptr;  // resolved by Prepare

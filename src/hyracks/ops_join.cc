@@ -78,15 +78,20 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
   BatchStats bs;
   Rows rows;
 
-  // The batch path needs arg_a to read only left columns and arg_b only
-  // right columns (checked against this partition's actual left width), so
-  // each side can be tokenized once instead of once per pair.
-  const bool use_batch =
-      ctx.batch_execution && batch_.has_value() && sides_pure_ &&
-      !left.empty() && !right.empty() &&
-      a_max_ < static_cast<int>(left_width) &&
-      b_min_ >= static_cast<int>(left_width) &&
-      b_max_ < static_cast<int>(left_width + right[0].size());
+  // The batch path needs each argument to read only one input's columns
+  // (checked against this partition's actual widths): arg_a the left and
+  // arg_b the right, or the other way round (the edit-distance corner-case
+  // branch reads its search key from the right). Each side is then
+  // evaluated and tokenized once per row instead of once per pair.
+  const int lw = static_cast<int>(left_width);
+  const int total =
+      right.empty() ? lw : static_cast<int>(left_width + right[0].size());
+  auto reads_right = [&](int lo, int hi) { return lo >= lw && hi < total; };
+  const bool a_left = a_max_ < lw && reads_right(b_min_, b_max_);
+  const bool b_left = b_max_ < lw && reads_right(a_min_, a_max_);
+  const bool use_batch = ctx.batch_execution && batch_.has_value() &&
+                         sides_pure_ && !left.empty() && !right.empty() &&
+                         (a_left || b_left);
   if (!use_batch) {
     for (const Tuple& lrow : left) {
       for (const Tuple& rrow : right) {
@@ -109,93 +114,120 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
 
   const SimBatchCall& call = *batch_;
   const bool jaccard = call.kind == SimBatchCall::Kind::kJaccardCheck;
-  TokenIdEncoder encoder;
+  // Argument index (0 = arg_a, 1 = arg_b) reading each input. Both kernels
+  // are symmetric in their two arguments, so the left argument's value is
+  // always the probe and the right argument's values the batch.
+  const int left_arg = a_left ? 0 : 1;
+  const int right_arg = 1 - left_arg;
+  const ExprPtr& left_expr = a_left ? call.arg_a : call.arg_b;
+  const ExprPtr& right_expr = a_left ? call.arg_b : call.arg_a;
+  SimArgEncoder args(call);
 
-  // Evaluate arg_a for the first left row before precomputing the right
-  // side: the tuple path touches arg_a(l0) first, then arg_b(r0..rn), then
-  // arg_a(l1)... — evaluating in that order keeps the first error (if any)
-  // identical to the tuple path's.
-  SIMDB_ASSIGN_OR_RETURN(Value va0, call.arg_a->Eval(left[0]));
-
-  // Precompute arg_b per right row over a left-width padded tuple (arg_b
-  // reads no left column, so the padding values are never touched). The CSR
-  // keeps one entry per right row — empty for unencodable rows, which are
-  // tracked separately in right_ok since an empty list is a valid encoding.
+  // The right argument over every right row, evaluated over a left-width
+  // padded tuple (it reads no left column, so the padding values are never
+  // touched). The CSR keeps one entry per right row — empty for unencodable
+  // rows, which are tracked separately in right_ok since an empty list is a
+  // valid encoding.
   std::vector<char> right_ok(right.size(), 0);
   std::vector<uint32_t> r_ids;
   std::vector<char> r_chars;
   std::vector<size_t> r_offsets{0};
-  std::vector<uint32_t> enc;
-  {
-    Tuple padded(left_width);
-    for (const Tuple& rrow : right) {
-      padded.resize(left_width);
-      padded.insert(padded.end(), rrow.begin(), rrow.end());
-      SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(padded));
-      if (jaccard) {
-        if (encoder.EncodeValue(vb, &enc)) {
-          right_ok[r_offsets.size() - 1] = 1;
-          r_ids.insert(r_ids.end(), enc.begin(), enc.end());
-        }
-        r_offsets.push_back(r_ids.size());
-      } else {
-        if (vb.is_string()) {
-          right_ok[r_offsets.size() - 1] = 1;
-          const std::string& s = vb.AsString();
-          r_chars.insert(r_chars.end(), s.begin(), s.end());
-        }
-        r_offsets.push_back(r_chars.size());
+  Tuple padded(left_width);
+  auto add_right = [&](size_t j) -> Status {
+    padded.resize(left_width);
+    padded.insert(padded.end(), right[j].begin(), right[j].end());
+    if (jaccard) {
+      SIMDB_ASSIGN_OR_RETURN(const EncodedList* e, args.Arg(right_arg, padded));
+      if (e->ok()) {
+        right_ok[j] = 1;
+        r_ids.insert(r_ids.end(), e->ids.begin(), e->ids.end());
       }
+      r_offsets.push_back(r_ids.size());
+    } else {
+      SIMDB_ASSIGN_OR_RETURN(Value v, right_expr->Eval(padded));
+      if (v.is_string()) {
+        right_ok[j] = 1;
+        r_chars.insert(r_chars.end(), v.AsString().begin(),
+                       v.AsString().end());
+      }
+      r_offsets.push_back(r_chars.size());
+    }
+    return Status::OK();
+  };
+
+  // The left argument of the current left row: its encoding (Jaccard) or
+  // its value (edit distance).
+  const EncodedList* probe = nullptr;
+  Value left_value;
+  auto eval_left = [&](size_t l) -> Status {
+    if (jaccard) {
+      SIMDB_ASSIGN_OR_RETURN(probe, args.Arg(left_arg, left[l]));
+      return Status::OK();
+    }
+    SIMDB_ASSIGN_OR_RETURN(left_value, left_expr->Eval(left[l]));
+    return Status::OK();
+  };
+
+  auto left_ok = [&] {
+    return jaccard ? probe->ok() : left_value.is_string();
+  };
+  // The predicate over pair (l, j), for pairs the kernels cannot take.
+  auto tuple_keep = [&](size_t l, size_t j) -> Result<bool> {
+    SIMDB_ASSIGN_OR_RETURN(Value keep,
+                           predicate_->Eval(ConcatRows(left[l], right[j])));
+    return keep.is_boolean() && keep.AsBoolean();
+  };
+
+  // The tuple path evaluates pair (l0, r0) — arg_a, arg_b, then the
+  // predicate — then pair (l0, r1), ...: the right argument over r1..rn
+  // interleaves with the predicate of row l0's pairs the kernels cannot
+  // take, and rows l1, l2, ... start with their left argument. The same
+  // order here keeps the first error (if any) identical to the tuple path's.
+  std::vector<char> first_row_keep(right.size(), 0);
+  if (!a_left) SIMDB_RETURN_IF_ERROR(add_right(0));
+  SIMDB_RETURN_IF_ERROR(eval_left(0));
+  for (size_t j = 0; j < right.size(); ++j) {
+    if (j > 0 || a_left) SIMDB_RETURN_IF_ERROR(add_right(j));
+    if (!left_ok() || right_ok[j] == 0) {
+      SIMDB_ASSIGN_OR_RETURN(bool keep, tuple_keep(0, j));
+      first_row_keep[j] = keep ? 1 : 0;
     }
   }
 
-  std::vector<uint32_t> probe;
   std::vector<double> jacc_out;
   std::vector<int> ed_out;
   for (size_t l = 0; l < left.size(); ++l) {
-    Value va;
-    if (l == 0) {
-      va = std::move(va0);
-    } else {
-      SIMDB_ASSIGN_OR_RETURN(va, call.arg_a->Eval(left[l]));
-    }
-    bool left_ok;
-    if (jaccard) {
-      left_ok = encoder.EncodeValue(va, &probe);
-      if (left_ok) {
-        ++bs.batches;
-        jacc_out.resize(right.size());
-        simd::JaccardCheckBatch(probe.data(), probe.size(), r_ids.data(),
-                                r_offsets.data(), right.size(),
-                                call.threshold, jacc_out.data(),
-                                /*assume_unique=*/true);
-      }
-    } else {
-      left_ok = va.is_string();
-      if (left_ok) {
-        ++bs.batches;
-        ed_out.resize(right.size());
-        simd::EditDistancePattern pattern(va.AsString());
-        pattern.CheckBatch(r_chars.data(), r_offsets.data(), right.size(),
-                           static_cast<int>(call.threshold), ed_out.data());
-      }
+    if (l > 0) SIMDB_RETURN_IF_ERROR(eval_left(l));
+    const bool lok = left_ok();
+    if (lok && jaccard) {
+      ++bs.batches;
+      jacc_out.resize(right.size());
+      simd::JaccardCheckBatch(probe->ids.data(), probe->ids.size(),
+                              r_ids.data(), r_offsets.data(), right.size(),
+                              call.threshold, jacc_out.data(),
+                              /*assume_unique=*/true);
+    } else if (lok) {
+      ++bs.batches;
+      ed_out.resize(right.size());
+      simd::EditDistancePattern pattern(left_value.AsString());
+      pattern.CheckBatch(r_chars.data(), r_offsets.data(), right.size(),
+                         static_cast<int>(call.threshold), ed_out.data());
     }
     for (size_t j = 0; j < right.size(); ++j) {
-      if (left_ok && right_ok[j] != 0) {
+      bool keep;
+      if (lok && right_ok[j] != 0) {
         ++bs.rows;
-        const bool keep = jaccard ? jacc_out[j] >= 0 : ed_out[j] >= 0;
-        if (keep) {
-          ++matches;
-          rows.push_back(ConcatRows(left[l], right[j]));
-        }
+        keep = jaccard ? jacc_out[j] >= 0 : ed_out[j] >= 0;
+      } else if (l == 0) {
+        ++bs.fallback_rows;
+        keep = first_row_keep[j] != 0;
       } else {
         ++bs.fallback_rows;
-        Tuple combined = ConcatRows(left[l], right[j]);
-        SIMDB_ASSIGN_OR_RETURN(Value keep, predicate_->Eval(combined));
-        if (keep.is_boolean() && keep.AsBoolean()) {
-          ++matches;
-          rows.push_back(std::move(combined));
-        }
+        SIMDB_ASSIGN_OR_RETURN(keep, tuple_keep(l, j));
+      }
+      if (keep) {
+        ++matches;
+        rows.push_back(ConcatRows(left[l], right[j]));
       }
     }
   }
@@ -203,6 +235,7 @@ Result<Rows> NestedLoopJoinOp::ExecutePartition(
     CountOp(ctx, "nljoin.pairs", left.size() * right.size());
     CountOp(ctx, "nljoin.matches", matches);
   }
+  bs.memo_hits = args.memo_hits();
   bs.Emit(ctx);
   return rows;
 }

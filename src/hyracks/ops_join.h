@@ -41,11 +41,12 @@ class HashJoinOp : public PartitionOperator {
 /// `predicate` (over the combined tuple) holds. Broadcast one side first for
 /// a parallel NL join.
 ///
-/// When the predicate is a recognized similarity check whose first argument
-/// reads only left columns and second argument only right columns, the batch
-/// path encodes/tokenizes each side once (instead of per pair) and verifies
-/// a whole right batch per left row through the SIMD kernels; pairs the
-/// encoder cannot handle fall back to the combined-tuple evaluator.
+/// When the predicate is a recognized similarity check whose arguments each
+/// read only one input's columns (either argument may read the left one),
+/// the batch path encodes/tokenizes each side once (instead of per pair),
+/// once per distinct string through SimArgEncoder, and verifies a whole
+/// right batch per left row through the SIMD kernels; pairs the encoder
+/// cannot handle fall back to the combined-tuple evaluator.
 class NestedLoopJoinOp : public PartitionOperator {
  public:
   explicit NestedLoopJoinOp(ExprPtr predicate)

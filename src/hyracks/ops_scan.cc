@@ -1,5 +1,7 @@
 #include "hyracks/ops_scan.h"
 
+#include <optional>
+
 namespace simdb::hyracks {
 
 using adm::Value;
@@ -54,22 +56,35 @@ Result<Rows> PrimaryLookupOp::ExecutePartition(
     ExecContext& ctx, int p, const std::vector<const Rows*>& inputs) {
   uint64_t probes = 0;
   uint64_t hits = 0;
+  uint64_t reads = 0;
   Rows rows;
+  rows.reserve(inputs[0]->size());
+  // A run of equal keys (the plan's LOCAL-SORT on pk makes them long)
+  // reuses the record read for its first key, a missing one included. Any
+  // input order is correct: the engine's state lock holds the dataset fixed
+  // for the whole query.
+  std::optional<int64_t> last_pk;
+  std::optional<Value> record;
   for (const Tuple& row : *inputs[0]) {
     const Value& pk = row[static_cast<size_t>(pk_column_)];
     if (!pk.is_int64()) {
       return Status::TypeError("PRIMARY-LOOKUP pk must be int64");
     }
     ++probes;
-    SIMDB_ASSIGN_OR_RETURN(auto record, ds_->GetByPkInPartition(p, pk.AsInt64()));
+    if (last_pk != pk.AsInt64()) {
+      SIMDB_ASSIGN_OR_RETURN(record, ds_->GetByPkInPartition(p, pk.AsInt64()));
+      last_pk = pk.AsInt64();
+      ++reads;
+    }
     if (!record.has_value()) continue;
     ++hits;
     Tuple extended = ExtendedRow(row, 1);
-    extended.push_back(std::move(*record));
+    extended.push_back(*record);
     rows.push_back(std::move(extended));
   }
   if (ctx.counters != nullptr) {
     CountOp(ctx, "lookup.probes", probes);
+    CountOp(ctx, "lookup.reads", reads);
     CountOp(ctx, "lookup.hits", hits);
   }
   return rows;

@@ -49,6 +49,7 @@ class ConstantSourceOp : public PartitionOperator {
 /// partition of the dataset's primary index and appends the record object.
 /// Rows whose pk does not exist locally are dropped — by construction the
 /// upstream secondary-index search produced pks of the same partition.
+/// Consecutive equal pks read and decode the record once.
 class PrimaryLookupOp : public PartitionOperator {
  public:
   PrimaryLookupOp(std::string dataset, int pk_column)

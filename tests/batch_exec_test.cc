@@ -2,9 +2,12 @@
 // to the tuple path, surface its exec.batch.* counters in query profiles,
 // and keep the inverted-index posting-cache copy counter at zero (the
 // T-occurrence kernel counts directly over the cached dense-slot arrays).
+// Operator-level cases pin the per-invocation argument memo and the
+// NL-JOIN batch path with swapped argument sides against the tuple path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -12,7 +15,11 @@
 #include <vector>
 
 #include "adm/value.h"
+#include "common/logging.h"
 #include "core/query_processor.h"
+#include "hyracks/expr.h"
+#include "hyracks/ops_basic.h"
+#include "hyracks/ops_join.h"
 #include "observability/profile.h"
 #include "similarity/simd_kernels.h"
 #include "storage/file_util.h"
@@ -149,7 +156,7 @@ TEST_F(BatchExecTest, PostingCacheCopiesDropToZeroOnBatchPath) {
   EXPECT_EQ(batched, tuple);
 }
 
-// Every batch-capable operator always emits the full exec.batch.* trio when
+// Every batch-capable operator always emits the full exec.batch.* set when
 // profiling (zeros included) — the CI catalogue diff relies on profile
 // counter names being a deterministic function of the operators that ran.
 TEST_F(BatchExecTest, BatchCounterTrioPresentInProfile) {
@@ -157,8 +164,8 @@ TEST_F(BatchExecTest, BatchCounterTrioPresentInProfile) {
   engine_->set_profile_queries(true);
   Run(kJaccardSelect);
   ASSERT_NE(last_.profile, nullptr);
-  for (const char* name :
-       {"exec.batch.rows", "exec.batch.batches", "exec.batch.fallback_rows"}) {
+  for (const char* name : {"exec.batch.rows", "exec.batch.batches",
+                           "exec.batch.fallback_rows", "exec.batch.memo_hits"}) {
     EXPECT_GE(ProfileCounter(name), 0) << name << " missing from profile";
   }
   EXPECT_GT(ProfileCounter("exec.batch.batches"), 0);
@@ -239,6 +246,264 @@ TEST(InvertedIndexBatchTest, ScratchPathMatchesGatherAndCopiesNothing) {
     EXPECT_TRUE(std::is_sorted(batched->begin(), batched->end()));
   }
   storage::RemoveAllBestEffort(dir);
+}
+
+// ---------- operator level: argument memo, swapped NL-JOIN sides ----------
+
+/// One operator run with batch execution on or off: its rows (as JSON, in
+/// output order) or its status, and its counters.
+struct OpRun {
+  Status status;
+  std::vector<std::string> rows;
+  hyracks::OpCounterSink sink;
+
+  uint64_t Counter(const char* name) const {
+    uint64_t total = 0;
+    for (const auto& [n, v] : sink.entries) {
+      if (std::strcmp(n, name) == 0) total += v;
+    }
+    return total;
+  }
+};
+
+OpRun RunPartition(hyracks::PartitionOperator& op,
+                   const std::vector<const hyracks::Rows*>& inputs,
+                   bool batch) {
+  OpRun run;
+  hyracks::ExecContext ctx;
+  ctx.batch_execution = batch;
+  ctx.counters = &run.sink;
+  Result<hyracks::Rows> out = op.ExecutePartition(ctx, 0, inputs);
+  run.status = out.status();
+  if (out.ok()) {
+    for (const hyracks::Tuple& row : *out) {
+      std::string line;
+      for (const Value& v : row) line += v.ToJson() + "|";
+      run.rows.push_back(std::move(line));
+    }
+  }
+  return run;
+}
+
+hyracks::ExprPtr MustCall(const std::string& name,
+                          std::vector<hyracks::ExprPtr> args) {
+  Result<hyracks::ExprPtr> e = hyracks::Call(name, std::move(args));
+  SIMDB_CHECK(e.ok()) << e.status().ToString();
+  return *e;
+}
+
+hyracks::ExprPtr Field(hyracks::ExprPtr base, const std::string& field) {
+  return std::make_shared<hyracks::FieldAccessExpr>(std::move(base), field);
+}
+
+Value Ints(std::vector<int64_t> items) {
+  Value::Array out;
+  for (int64_t i : items) out.push_back(Value::Int64(i));
+  return Value::MakeArray(std::move(out));
+}
+
+Value Strs(std::vector<std::string> items) {
+  Value::Array out;
+  for (const std::string& s : items) out.push_back(Value::String(s));
+  return Value::MakeArray(std::move(out));
+}
+
+void ExpectSameRun(const OpRun& batched, const OpRun& tuple) {
+  EXPECT_EQ(batched.status.code(), tuple.status.code());
+  EXPECT_EQ(batched.status.ToString(), tuple.status.ToString());
+  EXPECT_EQ(batched.rows, tuple.rows);
+}
+
+// Repeated strings on both sides go through one shared memo (both arguments
+// are word-tokens of a string) and answer exactly as the tuple path does.
+TEST(ArgMemoTest, RepeatedStringsOnBothSidesAnswerIdentically) {
+  const char* texts[] = {"great product fantastic gift", "great gift",
+                         "great great gift gift", "", "xy"};
+  hyracks::Rows in;
+  for (int i = 0; i < 40; ++i) {
+    in.push_back({Value::String(texts[i % 5]),
+                  Value::String(texts[(i * 3 + 1) % 5])});
+  }
+  hyracks::SelectOp op(MustCall(
+      "similarity-jaccard-check",
+      {MustCall("word-tokens", {hyracks::Col(0, "a")}),
+       MustCall("word-tokens", {hyracks::Col(1, "b")}),
+       hyracks::Lit(Value::Double(0.5))}));
+  OpRun batched = RunPartition(op, {&in}, true);
+  OpRun tuple = RunPartition(op, {&in}, false);
+  ASSERT_TRUE(batched.status.ok()) << batched.status.ToString();
+  ExpectSameRun(batched, tuple);
+  EXPECT_FALSE(batched.rows.empty());
+  // 80 arguments over 5 distinct strings: 5 encodings, 75 memo hits.
+  EXPECT_EQ(batched.Counter("exec.batch.memo_hits"), 75u);
+  EXPECT_EQ(batched.Counter("exec.batch.rows"), 40u);
+  EXPECT_EQ(tuple.Counter("exec.batch.memo_hits"), 0u);
+}
+
+// Memoized encodings keep EncodePair's dispatch: an empty token list (from
+// a memoized empty string) pairs with int lists in the int64 space, with
+// string lists in the string space, and mixed or non-list values fall back
+// to the tuple evaluator.
+TEST(ArgMemoTest, EmptyTokenListsAgainstIntListsKeepDispatch) {
+  const Value others[] = {Ints({1, 2}),       Ints({}),
+                          Strs({"a", "b"}),   Strs({"b", "b"}),
+                          Value::MakeArray({Value::String("a"),
+                                            Value::Int64(1)}),
+                          Ints({7, 7, 8})};
+  const char* texts[] = {"", "a b", "", "b b"};
+  hyracks::Rows in;
+  for (int i = 0; i < 48; ++i) {
+    in.push_back({Value::String(texts[i % 4]), others[i % 6]});
+  }
+  for (double delta : {0.0, 0.5, 1.0}) {
+    hyracks::SelectOp op(MustCall(
+        "similarity-jaccard-check",
+        {MustCall("word-tokens", {hyracks::Col(0, "a")}),
+         hyracks::Col(1, "b"), hyracks::Lit(Value::Double(delta))}));
+    OpRun batched = RunPartition(op, {&in}, true);
+    OpRun tuple = RunPartition(op, {&in}, false);
+    ASSERT_TRUE(batched.status.ok()) << batched.status.ToString();
+    ExpectSameRun(batched, tuple);
+    // arg_a reads 3 distinct strings (45 hits); arg_b reads no string.
+    EXPECT_EQ(batched.Counter("exec.batch.memo_hits"), 45u) << delta;
+    // The mixed list (8 rows) and "a b" / "b b" against the non-empty
+    // [7, 7, 8] (8 rows) fall back; "" against it stays batched.
+    EXPECT_EQ(batched.Counter("exec.batch.fallback_rows"), 16u) << delta;
+  }
+}
+
+// An argument whose Eval fails is never memoized: a repeated erroring
+// string input gives the tuple path's status, on batch and tuple path.
+TEST(ArgMemoTest, RepeatedErroringInputKeepsTupleStatus) {
+  hyracks::Rows in = {
+      {Strs({"a"}), Value::String("a b")},
+      {Strs({"a"}), Value::String("a b")},
+      {Value::String("oops"), Value::String("a b")},
+      {Value::String("oops"), Value::String("a b")},
+  };
+  hyracks::SelectOp op(MustCall(
+      "similarity-jaccard-check",
+      {MustCall("word-tokens", {hyracks::Col(1, "b")}),
+       MustCall("sort-list", {hyracks::Col(0, "a")}),
+       hyracks::Lit(Value::Double(0.5))}));
+  OpRun batched = RunPartition(op, {&in}, true);
+  OpRun tuple = RunPartition(op, {&in}, false);
+  EXPECT_FALSE(tuple.status.ok());
+  ExpectSameRun(batched, tuple);
+  // The error also surfaces when the erroring string comes first.
+  hyracks::Rows reversed(in.rbegin(), in.rend());
+  batched = RunPartition(op, {&reversed}, true);
+  tuple = RunPartition(op, {&reversed}, false);
+  EXPECT_FALSE(tuple.status.ok());
+  ExpectSameRun(batched, tuple);
+}
+
+// Arguments that compute different functions of the same string keep
+// separate memos: "a b" read raw is not a list, so the tuple path's type
+// error must surface even after word-tokens("a b") was memoized.
+TEST(ArgMemoTest, DifferentFunctionsOfOneStringDoNotShareEntries) {
+  hyracks::Rows in = {{Value::String("a b"), Strs({"a", "b"})},
+                      {Value::String("c"), Value::String("a b")}};
+  hyracks::SelectOp op(MustCall(
+      "similarity-jaccard-check",
+      {MustCall("word-tokens", {hyracks::Col(0, "a")}), hyracks::Col(1, "b"),
+       hyracks::Lit(Value::Double(0.5))}));
+  OpRun batched = RunPartition(op, {&in}, true);
+  OpRun tuple = RunPartition(op, {&in}, false);
+  EXPECT_EQ(tuple.status.code(), StatusCode::kTypeError);
+  ExpectSameRun(batched, tuple);
+}
+
+// The edit-distance corner-case join reads its search key from the right
+// input and the record from the left: edit-distance-check($skey@1,
+// $r@0.name, k). The batch path takes it (no tuple fallback) and is
+// bit-identical to the tuple path.
+TEST(SwappedSidesNlJoinTest, EditDistanceBatchesAndMatchesTuplePath) {
+  const char* names[] = {"maria", "mario", "marla", "jo", "j", "bob", "bo"};
+  hyracks::Rows left, right;
+  for (int64_t i = 0; i < 7; ++i) {
+    left.push_back({Value::MakeObject({{"id", Value::Int64(i)},
+                                       {"name", Value::String(names[i])}})});
+  }
+  for (const char* key : {"jo", "b", "ma", "", "mari"}) {
+    right.push_back({Value::String(key)});
+  }
+  for (int64_t k : {0, 1, 2}) {
+    hyracks::NestedLoopJoinOp op(MustCall(
+        "edit-distance-check",
+        {hyracks::Col(1, "skey"), Field(hyracks::Col(0, "r"), "name"),
+         hyracks::Lit(Value::Int64(k))}));
+    OpRun batched = RunPartition(op, {&left, &right}, true);
+    OpRun tuple = RunPartition(op, {&left, &right}, false);
+    ASSERT_TRUE(batched.status.ok()) << batched.status.ToString();
+    ExpectSameRun(batched, tuple);
+    EXPECT_FALSE(batched.rows.empty()) << k;
+    EXPECT_EQ(batched.Counter("exec.batch.fallback_rows"), 0u) << k;
+    EXPECT_EQ(batched.Counter("exec.batch.rows"), 35u) << k;
+  }
+}
+
+// Swapped-side Jaccard join: every placement of erroring values reports the
+// tuple path's first error. The tuple path evaluates a(r0), b(l0),
+// a(r1..rn), b(l1..), and the two arguments fail with different messages.
+TEST(SwappedSidesNlJoinTest, JaccardFirstErrorMatchesTuplePath) {
+  const std::vector<std::string> lefts[] = {
+      {"a", "b", "c"}, {"b", "c"}, {"a", "b", "c"}};
+  const char* rights[] = {"a b", "a b c", "c", "a b"};
+  hyracks::ExprPtr pred = MustCall(
+      "similarity-jaccard-check",
+      {MustCall("word-tokens", {hyracks::Col(1, "skey")}),
+       MustCall("sort-list", {Field(hyracks::Col(0, "r"), "tokens")}),
+       hyracks::Lit(Value::Double(0.6))});
+  hyracks::NestedLoopJoinOp op(pred);
+  // Bit i of `bad` (over 3 left + 4 right rows) swaps row i's value for
+  // one that fails sort-list (left: a string) or word-tokens (right: an
+  // int).
+  for (int bad = 0; bad < (1 << 7); ++bad) {
+    hyracks::Rows left, right;
+    for (int i = 0; i < 3; ++i) {
+      Value tokens = (bad >> i & 1) != 0 ? Value::String("x")
+                                         : Strs(lefts[i]);
+      left.push_back({Value::MakeObject({{"tokens", tokens}})});
+    }
+    for (int j = 0; j < 4; ++j) {
+      right.push_back({(bad >> (3 + j) & 1) != 0
+                           ? Value::Int64(j)
+                           : Value::String(rights[j])});
+    }
+    OpRun batched = RunPartition(op, {&left, &right}, true);
+    OpRun tuple = RunPartition(op, {&left, &right}, false);
+    ExpectSameRun(batched, tuple);
+    if (bad == 0) {
+      ASSERT_TRUE(batched.status.ok());
+      EXPECT_FALSE(batched.rows.empty());
+      EXPECT_EQ(batched.Counter("exec.batch.fallback_rows"), 0u);
+      // Repeated strings on each side hit the shared memo.
+      EXPECT_GT(batched.Counter("exec.batch.memo_hits"), 0u);
+    }
+  }
+}
+
+// A predicate error on a pair of the first left row (the kernels cannot
+// take a non-list) comes before a later right row's argument error, in
+// either argument order, as on the tuple path.
+TEST(SwappedSidesNlJoinTest, FirstRowPredicateErrorPrecedesLaterArgError) {
+  hyracks::Rows left = {{Value::MakeObject({{"x", Value::Int64(5)}})},
+                        {Value::MakeObject({{"x", Strs({"a"})}})}};
+  hyracks::Rows right = {{Value::String("a")}, {Value::Int64(7)}};
+  hyracks::ExprPtr l = Field(hyracks::Col(0, "l"), "x");
+  hyracks::ExprPtr r = MustCall("word-tokens", {hyracks::Col(1, "r")});
+  for (bool swapped : {false, true}) {
+    hyracks::NestedLoopJoinOp op(
+        MustCall("similarity-jaccard-check",
+                 {swapped ? r : l, swapped ? l : r,
+                  hyracks::Lit(Value::Double(0.5))}));
+    OpRun batched = RunPartition(op, {&left, &right}, true);
+    OpRun tuple = RunPartition(op, {&left, &right}, false);
+    EXPECT_EQ(tuple.status.ToString(),
+              "TypeError: similarity-jaccard expects two lists");
+    ExpectSameRun(batched, tuple);
+  }
 }
 
 }  // namespace

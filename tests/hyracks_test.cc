@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <map>
 #include <set>
 
 #include "common/logging.h"
@@ -370,6 +371,65 @@ TEST_F(HyracksTest, InvertedSearchPlusLookupSelectsSimilarNames) {
     for (const Tuple& t : part) {
       EXPECT_EQ(t[2].GetField("reviewerName").AsString(), "maria");
     }
+  }
+}
+
+// PRIMARY-LOOKUP reads a record once per run of equal keys, yet answers
+// exactly as one read per row does, in any key order: unsorted keys with
+// repeats, a repeated missing key, and a key split into several runs.
+TEST_F(HyracksTest, PrimaryLookupReadsOncePerKeyRun) {
+  storage::Dataset* ds = MakeReviews(*catalog_, 4);
+  PrimaryLookupOp lookup("reviews", 0);
+  ASSERT_TRUE(lookup.Prepare(ctx_).ok());
+  // Runs: [3 3] [1] [99 99] [1 1] [3] [5] [2 2] [99].
+  const std::vector<int64_t> keys = {3, 3, 1, 99, 99, 1, 1, 3, 5, 2, 2, 99};
+  Rows in;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    in.push_back({Value::Int64(keys[i]), Value::Int64(static_cast<int64_t>(i))});
+  }
+  uint64_t found = 0;
+  for (int p = 0; p < 4; ++p) {
+    OpCounterSink sink;
+    ExecContext task_ctx = ctx_;
+    task_ctx.counters = &sink;
+    auto out = lookup.ExecutePartition(task_ctx, p, {&in});
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    Rows expected;
+    for (const Tuple& row : in) {
+      auto rec = ds->GetByPkInPartition(p, row[0].AsInt64());
+      ASSERT_TRUE(rec.ok());
+      if (rec->has_value()) expected.push_back({row[0], row[1], **rec});
+    }
+    ASSERT_EQ(out->size(), expected.size()) << "partition " << p;
+    for (size_t i = 0; i < expected.size(); ++i) {
+      for (size_t c = 0; c < 3; ++c) {
+        EXPECT_EQ((*out)[i][c].ToJson(), expected[i][c].ToJson());
+      }
+    }
+    found += out->size();
+    std::map<std::string, uint64_t> counters;
+    for (const auto& [name, v] : sink.entries) counters[name] += v;
+    EXPECT_EQ(counters["lookup.probes"], keys.size());
+    EXPECT_EQ(counters["lookup.reads"], 8u);
+    EXPECT_EQ(counters["lookup.hits"], expected.size());
+  }
+  // Every key but 99 lives in exactly one partition.
+  EXPECT_EQ(found, 9u);
+}
+
+// A non-int key fails on its own row even right after a run of the equal
+// int key (2.0 == 2 under Value::operator==).
+TEST_F(HyracksTest, PrimaryLookupNonIntKeyFailsOnItsRow) {
+  MakeReviews(*catalog_, 4);
+  PrimaryLookupOp lookup("reviews", 0);
+  ASSERT_TRUE(lookup.Prepare(ctx_).ok());
+  Rows in = {{Value::Int64(2)}, {Value::Int64(2)}, {Value::Double(2.0)}};
+  for (int p = 0; p < 4; ++p) {
+    auto out = lookup.ExecutePartition(ctx_, p, {&in});
+    ASSERT_FALSE(out.ok());
+    EXPECT_EQ(out.status().code(), StatusCode::kTypeError);
+    Rows prefix(in.begin(), in.begin() + 2);
+    EXPECT_TRUE(lookup.ExecutePartition(ctx_, p, {&prefix}).ok());
   }
 }
 
