@@ -1,11 +1,11 @@
-// Compares the two dataflow runtimes (task-graph scheduler vs the legacy
-// stage-sequential executor) on a job built to expose their difference: a
-// chain of partition-local operators with skewed per-partition cost over
-// more partitions than workers. The stage-sequential executor inserts a
-// barrier after every operator, so each stage waits for the slowest
-// partition while other workers idle; the task-graph scheduler lets fast
-// partitions run ahead through the whole chain. Identical work, identical
-// answers — only the scheduling differs.
+// Measures the task-graph scheduler on a job built to expose per-stage
+// barrier cost: a chain of partition-local operators with skewed
+// per-partition cost over more partitions than workers. The scheduler lets
+// fast partitions run ahead through the whole chain instead of waiting at
+// every operator for the slowest partition. Beside wall time it reports the
+// cluster cost model's two makespans for the same run: the critical path
+// through the task DAG and the stage-sum a barrier after every operator
+// would impose.
 #include <benchmark/benchmark.h>
 
 #include <cstdlib>
@@ -16,6 +16,7 @@
 #include "common/thread_pool.h"
 #include "hyracks/exec.h"
 #include "hyracks/ops_exchange.h"
+#include "hyracks/scheduler.h"
 
 namespace {
 
@@ -92,7 +93,7 @@ Job MakeChainJob() {
   return job;
 }
 
-void RunExecutor(benchmark::State& state, ExecutorKind kind) {
+void BM_TaskGraphScheduler(benchmark::State& state) {
   ThreadPool pool(static_cast<size_t>(state.range(0)));
   const ClusterTopology topology{4, 2};  // 8 partitions
   Job job = MakeChainJob();
@@ -101,8 +102,7 @@ void RunExecutor(benchmark::State& state, ExecutorKind kind) {
     ExecContext ctx;
     ctx.pool = &pool;
     ctx.topology = topology;
-    ctx.executor = kind;
-    Result<PartitionedRows> out = Executor::Run(job, ctx);
+    Result<PartitionedRows> out = Scheduler::Run(job, ctx);
     if (!out.ok()) {
       state.SkipWithError(out.status().ToString().c_str());
       return;
@@ -114,15 +114,14 @@ void RunExecutor(benchmark::State& state, ExecutorKind kind) {
 
   // Machine-independent figures from the cluster cost model: the critical
   // path through the task DAG (what a dependency-scheduled runtime achieves
-  // with enough workers) vs the stage-sum the per-operator barriers impose.
+  // with enough workers) vs the stage-sum per-operator barriers would impose.
   // Wall time above depends on the host's core count; these do not.
   ExecStats stats;
   ExecContext ctx;
   ctx.pool = &pool;
   ctx.topology = topology;
-  ctx.executor = kind;
   ctx.stats = &stats;
-  Result<PartitionedRows> out = Executor::Run(job, ctx);
+  Result<PartitionedRows> out = Scheduler::Run(job, ctx);
   if (out.ok()) {
     cluster::MakespanReport model =
         cluster::ComputeMakespan(stats, topology);
@@ -130,17 +129,7 @@ void RunExecutor(benchmark::State& state, ExecutorKind kind) {
     state.counters["model_stage_sum_s"] = model.stage_sum_seconds();
   }
 }
-
-void BM_TaskGraphScheduler(benchmark::State& state) {
-  RunExecutor(state, ExecutorKind::kScheduler);
-}
 BENCHMARK(BM_TaskGraphScheduler)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
-
-void BM_StageSequential(benchmark::State& state) {
-  RunExecutor(state, ExecutorKind::kStageSequential);
-}
-BENCHMARK(BM_StageSequential)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "aql/parser.h"
 #include "aql/translator.h"
 #include "core/query_processor.h"
+#include "hyracks/scheduler.h"
 #include "storage/file_util.h"
 
 using namespace simdb;
@@ -125,7 +126,7 @@ Status RunDemo(core::QueryProcessor& engine) {
   exec.catalog = engine.catalog();
   exec.topology = engine.options().topology;
   SIMDB_ASSIGN_OR_RETURN(hyracks::PartitionedRows rows,
-                         hyracks::Executor::Run(job, exec));
+                         hyracks::Scheduler::Run(job, exec));
   std::printf("events of the most frequent kind ('click'):\n");
   size_t count = 0;
   for (const hyracks::Rows& part : rows) {

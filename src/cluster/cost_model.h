@@ -20,8 +20,8 @@ struct NetworkModel {
 /// per-partition compute times and counted exchange traffic.
 ///
 /// Two figures are computed:
-///   - stage-sum (`compute_seconds` + `network_seconds`): the legacy
-///     stage-sequential model — sum over operators of
+///   - stage-sum (`compute_seconds` + `network_seconds`): every operator
+///     runs as its own stage behind a global barrier — sum over operators of
 ///     max-over-nodes(sum of that node's partition compute seconds), plus the
 ///     modeled time to move each exchange's remote bytes through the
 ///     per-node NICs. Kept as the comparison figure.

@@ -12,6 +12,7 @@
 #include "core/rules_similarity.h"
 #include "core/three_stage.h"
 #include "hyracks/functions.h"
+#include "hyracks/scheduler.h"
 #include "observability/metrics.h"
 #include "storage/file_util.h"
 
@@ -219,7 +220,6 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
   ctx.posting_cache_enabled = options_.posting_cache_enabled;
   ctx.batch_execution = options_.batch_execution;
   ctx.batch_size = options_.batch_size;
-  ctx.executor = options_.executor;
   ctx.transport = transport_.get();
   if (gov != nullptr) {
     ctx.cancel = gov->cancel;
@@ -231,7 +231,7 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
     collector = std::make_unique<obs::TraceCollector>();
     ctx.trace = collector.get();
   }
-  Result<hyracks::PartitionedRows> run = hyracks::Executor::Run(job, ctx);
+  Result<hyracks::PartitionedRows> run = hyracks::Scheduler::Run(job, ctx);
   if (!run.ok()) {
     // Hand the execution stats back even on failure: the cancellation tests
     // assert the graph drained (executed + skipped == total) from here.

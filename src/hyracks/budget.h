@@ -9,11 +9,11 @@
 
 namespace simdb::hyracks {
 
-/// Per-query resource quotas, charged cooperatively by the executors:
+/// Per-query resource quotas, charged cooperatively by the scheduler:
 ///   - memory: approximate bytes of live intermediate partitions (TupleBytes
 ///     of everything the scheduler currently holds). Charged when a task's
 ///     output is stored, released when the last consumer frees the
-///     partition; the executor releases every remaining charge when the run
+///     partition; the scheduler releases every remaining charge when the run
 ///     ends, so `memory_in_use` returns to zero whether the query succeeded,
 ///     failed, or was cancelled.
 ///   - tasks: number of scheduler tasks started. A runaway query (e.g. an

@@ -36,7 +36,7 @@ struct ClusterTopology {
 
 /// Sink for operator-specific profiling counters (posting-cache hits, join
 /// build rows, ...). Each task gets a private sink, so Add needs no
-/// synchronization; the executor merges sinks by summing per name, which is
+/// synchronization; the scheduler merges sinks by summing per name, which is
 /// order-independent and therefore deterministic under any interleaving.
 /// Names are static-lifetime literals — the catalogue in
 /// docs/OBSERVABILITY.md is checked against them in CI.
@@ -52,15 +52,15 @@ struct OpStats {
   std::string name;
   /// Job node id and input node ids: the task-DAG shape the cost model needs
   /// to compute a critical-path makespan. -1 / empty when the stats were not
-  /// produced by a job executor (hand-built stats, direct operator calls).
+  /// produced by the scheduler (hand-built stats).
   int node_id = -1;
   std::vector<int> input_ops;
   /// True for pipeline barriers (exchanges and whole-node operators): every
   /// input partition must be complete before any output partition exists.
   bool barrier = false;
   /// Pipeline stage: the number of barrier operators on the longest path
-  /// from any source to this node (sources are stage 0). Set by both
-  /// executors via ComputeStages.
+  /// from any source to this node (sources are stage 0). Set by the
+  /// scheduler via ComputeStages.
   int stage = 0;
   /// Measured compute seconds for each partition's work. For exchanges this
   /// is the per-destination build time (plus routing time spread evenly).
@@ -96,14 +96,10 @@ struct OpStats {
   std::vector<std::pair<std::string, uint64_t>> counters;
 };
 
-/// Folds per-task counter sinks into `stats.counters`: sums per name, sorted
-/// by name. Deterministic regardless of the order sinks are merged in.
-void MergeCounterSink(OpStats& stats, const OpCounterSink& sink);
-
 struct ExecStats {
   std::vector<OpStats> ops;
   double wall_seconds = 0;
-  /// True when `ops` carries node/input DAG info (set by both executors);
+  /// True when `ops` carries node/input DAG info (set by the scheduler);
   /// enables the cost model's critical-path makespan.
   bool has_task_dag = false;
   /// True when the run shipped exchange traffic through a wall-clock
@@ -111,8 +107,7 @@ struct ExecStats {
   /// the exchange partition_seconds, and the cost model must report the
   /// measured seconds instead of charging its modeled network formula.
   bool network_measured = false;
-  /// Task accounting (task-graph scheduler; the stage-sequential executor
-  /// counts whole nodes). Every planned task is either executed or skipped —
+  /// Task accounting. Every planned task is either executed or skipped —
   /// executed + skipped == total proves the graph drained, which is what the
   /// cancellation tests assert: no task is left behind after a cancel.
   uint64_t tasks_total = 0;
@@ -134,17 +129,6 @@ struct ExecStats {
     for (const OpStats& op : ops) total += op.remote_compute_seconds;
     return total;
   }
-};
-
-/// Which dataflow runtime executes jobs. The two must be answer-identical
-/// (the differential fuzz harness cross-checks them on every CI run).
-enum class ExecutorKind {
-  /// Per-(node, partition) task graph scheduled on the thread pool: a
-  /// partition pipelines through chains of local operators while sibling
-  /// partitions and independent plan branches run concurrently.
-  kScheduler,
-  /// Legacy node-at-a-time execution with a global barrier per operator.
-  kStageSequential,
 };
 
 /// One remote-eligible exchange build task, as seen by the scheduler's
@@ -189,25 +173,24 @@ struct ExecContext {
   bool batch_execution = true;
   /// Rows per columnar scratch batch on the batch path.
   int batch_size = 1024;
-  ExecutorKind executor = ExecutorKind::kScheduler;
   /// Exchange transport backend. Null behaves exactly like the modeled
   /// backend: destinations are built in place and no bytes are shipped.
   /// When non-null, every built exchange destination is offered to
   /// Transport::ShouldShip and round-tripped through Transport::Ship inside
   /// the build task (see BuildAndShipDestination in ops_exchange.h).
   transport::Transport* transport = nullptr;
-  /// Non-null enables query profiling: executors record per-task spans here
-  /// and operators emit their specific counters. Null (the default) is the
-  /// zero-overhead path — operators test this single pointer and skip all
+  /// Non-null enables query profiling: the scheduler records per-task spans
+  /// here and operators emit their specific counters. Null (the default) is
+  /// the zero-overhead path — operators test this single pointer and skip all
   /// counter work.
   obs::TraceCollector* trace = nullptr;
   /// Per-task counter sink, valid only for the duration of the current
-  /// partition task. Set by the executors (on a per-task copy of the
+  /// partition task. Set by the scheduler (on a per-task copy of the
   /// context) when profiling; operators write through it via CountOp.
   OpCounterSink* counters = nullptr;
-  /// Cooperative cancellation: when non-null, both executors poll it before
-  /// starting each task (scheduler) / node (stage-sequential). Tasks already
-  /// running finish; everything else is skipped, partial outputs released.
+  /// Cooperative cancellation: when non-null, the scheduler polls it before
+  /// starting each task. Tasks already running finish; everything else is
+  /// skipped, partial outputs released.
   /// Null (the default) is the zero-overhead single-query path.
   const CancellationToken* cancel = nullptr;
   /// Per-query resource quotas (memory held in live intermediate partitions,
@@ -229,28 +212,23 @@ inline void CountOp(ExecContext& ctx, const char* name, uint64_t delta) {
   if (ctx.counters != nullptr) ctx.counters->Add(name, delta);
 }
 
-/// A physical operator. Operators consume fully materialized partitioned
-/// inputs and produce partitioned output; partition-local operators
-/// additionally expose a per-partition hook (see PartitionOperator) that the
-/// task-graph scheduler drives directly.
+/// A physical operator. The scheduler runs each operator through the
+/// interface of its kind: PartitionOperator (one task per partition),
+/// ExchangeOperator (hyracks/ops_exchange.h: one routing task plus one build
+/// task per destination) or BarrierOperator (one task over the whole input).
 class Operator {
  public:
   virtual ~Operator() = default;
   virtual std::string name() const = 0;
-  virtual Result<PartitionedRows> Execute(
-      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-      OpStats* stats) = 0;
   /// True when output partition p is a pure function of partition p of each
   /// input (scan, select, project, join, ...). False for pipeline barriers
   /// (exchanges, rank-assign, limit).
   virtual bool partition_local() const { return false; }
 };
 
-/// A partition-local physical operator: implements ExecutePartition and
-/// inherits a stage-materialized Execute adapter that fans ExecutePartition
-/// out over all partitions via RunPerPartition. The task-graph scheduler
-/// calls ExecutePartition directly, so one partition can flow through a
-/// chain of local operators while sibling partitions run concurrently.
+/// A partition-local physical operator. The scheduler calls ExecutePartition
+/// once per partition, so one partition can flow through a chain of local
+/// operators while sibling partitions run concurrently.
 class PartitionOperator : public Operator {
  public:
   bool partition_local() const final { return true; }
@@ -260,7 +238,7 @@ class PartitionOperator : public Operator {
 
   /// Runs once per job execution before any partition task: resolve catalog
   /// objects, validate the plan. Errors here are node-level (no partition
-  /// prefix). Called single-threaded by both executors.
+  /// prefix). Called single-threaded while the scheduler builds its graph.
   virtual Status Prepare(ExecContext& ctx) {
     (void)ctx;
     return Status::OK();
@@ -272,25 +250,23 @@ class PartitionOperator : public Operator {
   virtual Result<Rows> ExecutePartition(
       ExecContext& ctx, int p, const std::vector<const Rows*>& inputs) = 0;
 
-  /// Adapter for the stage-sequential executor and direct operator calls.
-  Result<PartitionedRows> Execute(
-      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs,
-      OpStats* stats) final;
-
-  /// Arity + partition-count validation shared by the adapter and the
-  /// scheduler's graph builder.
+  /// Arity validation run by the scheduler's graph builder.
   Status ValidateInputArity(size_t provided) const;
 };
 
-/// Runs `fn(p)` for every partition on the context's thread pool, recording
-/// per-partition compute seconds into `stats` (when non-null). Returns the
-/// first error encountered.
-Status RunPerPartition(ExecContext& ctx, int num_partitions, OpStats* stats,
-                       const std::function<Status(int)>& fn);
+/// A whole-input pipeline barrier that is neither partition-local nor an
+/// exchange (RANK-ASSIGN, LIMIT): the scheduler runs it as a single task
+/// over its fully materialized inputs. It must return exactly
+/// total_partitions output partitions.
+class BarrierOperator : public Operator {
+ public:
+  virtual Result<PartitionedRows> Execute(
+      ExecContext& ctx, const std::vector<const PartitionedRows*>& inputs) = 0;
+};
 
 /// A dataflow DAG of operators. Nodes must be added in topological order
 /// (inputs referencing earlier nodes only); the last node is the root whose
-/// output the executor returns. A node may feed several consumers — that is
+/// output Scheduler::Run returns. A node may feed several consumers — that is
 /// the REPLICATE / materialize-reuse pattern of the paper (Figure 20): its
 /// output is computed once and shared.
 class Job {
@@ -314,25 +290,6 @@ class Job {
  private:
   std::vector<Node> nodes_;
 };
-
-/// Executes a Job and returns the root node's partitioned output. Dispatches
-/// on ctx.executor: the dependency-scheduled task graph (default, see
-/// hyracks/scheduler.h) or the legacy stage-sequential loop. Both executors
-/// are answer-identical and report errors identically: the lowest failing
-/// (node, partition) wins regardless of thread interleaving.
-class Executor {
- public:
-  static Result<PartitionedRows> Run(const Job& job, ExecContext& ctx);
-
-  /// Node-at-a-time execution with a barrier after every operator.
-  static Result<PartitionedRows> RunStageSequential(const Job& job,
-                                                    ExecContext& ctx);
-};
-
-/// Formats a task failure exactly like the stage-sequential executor:
-/// "node N (NAME): [partition P: ]message". Shared with the scheduler so
-/// error strings are byte-identical across executors and pool sizes.
-Status WrapNodeError(int node, const std::string& op_name, const Status& s);
 
 /// Pipeline stage per job node: stage(n) = max over inputs i of
 /// (stage(i) + barrier(i)), with sources at stage 0. Barriers count on the

@@ -296,7 +296,7 @@ Status TryBuildRemote(ExecContext& ctx, ExchangeOperator& op, int dst,
                                          request, &reply, &seconds);
   if (dispatched.code() == StatusCode::kCancelled) {
     // The worker refused a cancelled query's fragment. Fall back to the
-    // local build: the executors' own cancellation polling decides the
+    // local build: the scheduler's own cancellation polling decides the
     // query's fate, so answers and errors stay identical across backends.
     return Status::OK();
   }

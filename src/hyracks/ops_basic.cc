@@ -279,8 +279,7 @@ Result<Rows> UnionAllOp::ExecutePartition(
 }
 
 Result<PartitionedRows> RankAssignOp::Execute(
-    ExecContext&, const std::vector<const PartitionedRows*>& inputs,
-    OpStats*) {
+    ExecContext&, const std::vector<const PartitionedRows*>& inputs) {
   if (inputs.size() != 1) return Status::Internal("RANK-ASSIGN input");
   const PartitionedRows& in = *inputs[0];
   for (size_t p = 1; p < in.size(); ++p) {
@@ -303,8 +302,7 @@ Result<PartitionedRows> RankAssignOp::Execute(
 }
 
 Result<PartitionedRows> LimitOp::Execute(
-    ExecContext&, const std::vector<const PartitionedRows*>& inputs,
-    OpStats*) {
+    ExecContext&, const std::vector<const PartitionedRows*>& inputs) {
   if (inputs.size() != 1) return Status::Internal("LIMIT input");
   const PartitionedRows& in = *inputs[0];
   PartitionedRows out(in.size());

@@ -1,5 +1,6 @@
 #include "hyracks/scheduler.h"
 
+#include <algorithm>
 #include <deque>
 #include <utility>
 
@@ -13,6 +14,29 @@
 namespace simdb::hyracks {
 
 namespace {
+
+/// Folds a task's counter sink into `stats.counters`: sums per name, sorted
+/// by name. Deterministic regardless of the order sinks are merged in.
+void MergeCounterSink(OpStats& stats, const OpCounterSink& sink) {
+  for (const auto& [name, delta] : sink.entries) {
+    auto pos = std::lower_bound(
+        stats.counters.begin(), stats.counters.end(), name,
+        [](const std::pair<std::string, uint64_t>& e, const char* n) {
+          return e.first < n;
+        });
+    if (pos != stats.counters.end() && pos->first == name) {
+      pos->second += delta;
+    } else {
+      stats.counters.emplace(pos, name, delta);
+    }
+  }
+}
+
+/// "node N (NAME): message" — the prefix every node failure carries.
+Status WrapNodeError(int node, const std::string& op_name, const Status& s) {
+  return Status(s.code(), "node " + std::to_string(node) + " (" + op_name +
+                              "): " + s.message());
+}
 
 enum class TaskKind { kLocal, kRoute, kBuild, kBarrier };
 
@@ -184,6 +208,9 @@ class SchedulerRun {
           }
         }
       } else {
+        SIMDB_CHECK(dynamic_cast<BarrierOperator*>(op) != nullptr)
+            << op->name() << " is not a partition, exchange or barrier "
+            << "operator";
         int tid = AddTask(TaskKind::kBarrier, i, -1);
         for (int p = 0; p < parts_; ++p) {
           producer_[static_cast<size_t>(i)][static_cast<size_t>(p)] = tid;
@@ -481,9 +508,10 @@ class SchedulerRun {
         // The barrier owns all of its node's stats slots; no other task of
         // this node exists, so writing them pre-lock is safe.
         nr.stats.rows_in = rows_in;
+        auto* op = static_cast<BarrierOperator*>(jn.op.get());
         const bool profiling = ctx_.trace != nullptr;
         int64_t start = profiling ? ctx_.trace->NowMicros() : 0;
-        Result<PartitionedRows> r = jn.op->Execute(ctx_, ins, &nr.stats);
+        Result<PartitionedRows> r = op->Execute(ctx_, ins);
         if (profiling && r.ok()) {
           obs::TraceEvent ev;
           ev.category = "task";
@@ -503,11 +531,11 @@ class SchedulerRun {
         }
         PartitionedRows out = std::move(r).value();
         if (static_cast<int>(out.size()) != parts_) {
-          // Stage-sequential reports this check without the node prefix.
           RecordFailure(t.node, -1,
-                        Status::Internal("operator " + jn.op->name() +
-                                         " produced wrong partition count"),
-                        /*unwrapped=*/true);
+                        Status::Internal(
+                            "produced " + std::to_string(out.size()) +
+                            " partitions, expected " + std::to_string(parts_)),
+                        /*unwrapped=*/false);
           CompleteLocked(tid, /*bad=*/true);
           return;
         }

@@ -5,7 +5,8 @@
 
 namespace simdb::hyracks {
 
-/// Dependency-scheduled task-graph executor.
+/// Dependency-scheduled task-graph executor: the one runtime every Job runs
+/// on.
 ///
 /// The job DAG of operators is expanded into a finer task graph:
 ///   - a partition-local node becomes one task per partition, depending only
@@ -14,18 +15,21 @@ namespace simdb::hyracks {
 ///   - an exchange becomes one routing task (runs once, after every input
 ///     partition) plus one build task per destination partition, all builds
 ///     running in parallel;
-///   - any other operator (RANK-ASSIGN, LIMIT, external subclasses) becomes a
-///     single barrier task over its fully materialized inputs.
+///   - a BarrierOperator (RANK-ASSIGN, LIMIT) becomes a single barrier task
+///     over its fully materialized inputs.
 ///
 /// Ready tasks are submitted to the context's thread pool; intermediate
 /// partitions are released as soon as their per-partition reference count
 /// drops to zero. When no pool is available (or when invoked from a pool
 /// worker) the graph runs inline in deterministic topological order.
 ///
-/// Failure semantics match the stage-sequential executor byte for byte under
-/// any interleaving: every runnable task completes (tasks downstream of a
-/// failure are skipped, never aborted mid-flight), then the failure of the
-/// lowest node id — and within it the lowest partition — is reported.
+/// Failure contract, identical under any pool size and interleaving: every
+/// runnable task completes (tasks downstream of a failure are skipped, never
+/// aborted mid-flight), then the failure of the lowest node id — and within
+/// it the lowest partition, with node-level failures first — is reported as
+/// "node N (NAME): [partition P: ]message". Only the serving checks
+/// (cancellation, deadline, task and memory quotas) report their status
+/// unprefixed.
 class Scheduler {
  public:
   static Result<PartitionedRows> Run(const Job& job, ExecContext& ctx);

@@ -27,7 +27,6 @@ void ApplyVariant(QueryProcessor& engine, const ExecVariant& v) {
   engine.set_t_occurrence_algorithm(v.t_occurrence);
   engine.set_posting_cache_enabled(v.posting_cache);
   engine.set_batch_execution(v.batch_execution);
-  engine.set_executor(v.executor);
   if (engine.transport_kind() != v.transport) engine.set_transport(v.transport);
 }
 
@@ -203,16 +202,6 @@ std::vector<ExecVariant> PlanVariantMatrix() {
   nocache.label = "indexed-nocache";
   nocache.posting_cache = false;
   variants.push_back(nocache);
-
-  // The dataflow runtime must be invisible to results: run the full indexed
-  // configuration once more on the legacy stage-sequential executor. Every
-  // other variant (including the scan ground truth) runs on the task-graph
-  // scheduler, so any scheduling, routing, or tuple-stealing bug shows up
-  // as a variant mismatch here.
-  ExecVariant stageseq = indexed;
-  stageseq.label = "indexed-stageseq";
-  stageseq.executor = hyracks::ExecutorKind::kStageSequential;
-  variants.push_back(stageseq);
   return variants;
 }
 
@@ -250,9 +239,7 @@ std::vector<ExecVariant> BatchVariantMatrix() {
 std::vector<ExecVariant> TransportVariantMatrix() {
   // The fully-indexed shape reaches every exchange kind (hash repartition,
   // broadcast, gather, merge-gather). Each backend must agree bit-for-bit
-  // with the modeled baseline; shared-memory additionally runs on the
-  // stage-sequential executor, since both executors drive the same
-  // BuildAndShipDestination seam.
+  // with the modeled baseline.
   std::vector<ExecVariant> variants;
   const std::pair<const char*, transport::TransportKind> backends[] = {
       {"indexed-modeled", transport::TransportKind::kModeled},
@@ -264,11 +251,6 @@ std::vector<ExecVariant> TransportVariantMatrix() {
     v.transport = kind;
     variants.push_back(v);
   }
-  ExecVariant stageseq;
-  stageseq.label = "indexed-shm-stageseq";
-  stageseq.transport = transport::TransportKind::kSharedMemory;
-  stageseq.executor = hyracks::ExecutorKind::kStageSequential;
-  variants.push_back(stageseq);
   return variants;
 }
 

@@ -49,7 +49,8 @@ TEST(ComputeMakespanTest, SlowestNodeBoundsTheStage) {
 }
 
 TEST(ComputeMakespanTest, StagesAreSequential) {
-  // The executor is stage-sequential: operator makespans add up.
+  // The stage-sum model puts a barrier after every operator: operator
+  // makespans add up.
   ExecStats stats;
   OpStats a, b;
   a.partition_seconds = {0.4, 0.1};  // 1 node -> 0.5

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <map>
 
 #include "adm/wire.h"
@@ -14,6 +15,7 @@
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_group.h"
 #include "hyracks/ops_join.h"
+#include "op_runner.h"
 #include "transport/transport.h"
 
 namespace simdb::hyracks {
@@ -60,10 +62,9 @@ TEST_P(ExchangeProperty, HashExchangePreservesMultiset) {
   Random rng(GetParam());
   for (int iter = 0; iter < 20; ++iter) {
     PartitionedRows in = RandomRows(rng, 60);
-    HashExchangeOp op({0});
-    OpStats stats;
-    auto out = *op.Execute(ctx_, {&in}, &stats);
-    EXPECT_EQ(Flatten(in), Flatten(*&out));
+    auto out = *RunOp(
+        ctx_, std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&in});
+    EXPECT_EQ(Flatten(in), Flatten(out));
     // Co-location: equal keys in one partition.
     std::map<int64_t, std::set<size_t>> where;
     for (size_t p = 0; p < out.size(); ++p) {
@@ -78,9 +79,9 @@ TEST_P(ExchangeProperty, HashExchangePreservesMultiset) {
 TEST_P(ExchangeProperty, BroadcastReplicatesExactly) {
   Random rng(GetParam() + 100);
   PartitionedRows in = RandomRows(rng, 30);
-  BroadcastExchangeOp op;
   OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  auto out =
+      *RunOp(ctx_, std::make_unique<BroadcastExchangeOp>(), {&in}, &stats);
   std::multiset<std::string> original = Flatten(in);
   for (const Rows& part : out) {
     PartitionedRows single(1);
@@ -111,9 +112,8 @@ TEST_P(ExchangeProperty, AccountedBytesMatchTheWireEncoding) {
            {"score", Value::Double(0.5)}}));
     }
   }
-  GatherOp op;
   OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  auto out = *RunOp(ctx_, std::make_unique<GatherOp>(), {&in}, &stats);
   std::string frame;
   transport::EncodeRowsFrame(out[0], &frame);
   EXPECT_EQ(stats.local_bytes + stats.remote_bytes,
@@ -123,9 +123,7 @@ TEST_P(ExchangeProperty, AccountedBytesMatchTheWireEncoding) {
 TEST_P(ExchangeProperty, GatherMovesEverythingToPartitionZero) {
   Random rng(GetParam() + 200);
   PartitionedRows in = RandomRows(rng, 40);
-  GatherOp op;
-  OpStats stats;
-  auto out = *op.Execute(ctx_, {&in}, &stats);
+  auto out = *RunOp(ctx_, std::make_unique<GatherOp>(), {&in});
   EXPECT_EQ(Flatten(in), Flatten(out));
   for (size_t p = 1; p < out.size(); ++p) EXPECT_TRUE(out[p].empty());
 }
@@ -133,12 +131,11 @@ TEST_P(ExchangeProperty, GatherMovesEverythingToPartitionZero) {
 TEST_P(ExchangeProperty, MergeGatherProducesGlobalOrder) {
   Random rng(GetParam() + 300);
   PartitionedRows in = RandomRows(rng, 50);
-  SortOp sort({{0, true}});
-  OpStats s1;
-  auto sorted = *sort.Execute(ctx_, {&in}, &s1);
-  MergeGatherOp merge({{0, true}});
-  OpStats s2;
-  auto out = *merge.Execute(ctx_, {&sorted}, &s2);
+  auto sorted = *RunOp(
+      ctx_, std::make_unique<SortOp>(std::vector<SortKey>{{0, true}}), {&in});
+  auto out = *RunOp(
+      ctx_, std::make_unique<MergeGatherOp>(std::vector<SortKey>{{0, true}}),
+      {&sorted});
   EXPECT_EQ(Flatten(in), Flatten(out));
   for (size_t i = 1; i < out[0].size(); ++i) {
     EXPECT_LE(out[0][i - 1][0].AsInt64(), out[0][i][0].AsInt64());
@@ -154,12 +151,14 @@ TEST_P(ExchangeProperty, GroupByCountsMatchNaive) {
     for (const Tuple& t : part) ++expected[t[0].AsInt64()];
   }
   // Exchange + group pipeline (what the job generator emits).
-  HashExchangeOp exchange({0});
-  OpStats s1;
-  auto shuffled = *exchange.Execute(ctx_, {&in}, &s1);
-  HashGroupOp group({Col(0, "k")}, {{AggSpec::Kind::kCount, nullptr, "n"}});
-  OpStats s2;
-  auto grouped = *group.Execute(ctx_, {&shuffled}, &s2);
+  auto shuffled = *RunOp(
+      ctx_, std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&in});
+  auto grouped = *RunOp(
+      ctx_,
+      std::make_unique<HashGroupOp>(
+          std::vector<ExprPtr>{Col(0, "k")},
+          std::vector<AggSpec>{{AggSpec::Kind::kCount, nullptr, "n"}}),
+      {&shuffled});
   std::map<int64_t, int64_t> actual;
   for (const Rows& part : grouped) {
     for (const Tuple& t : part) actual[t[0].AsInt64()] = t[1].AsInt64();
@@ -182,12 +181,14 @@ TEST_P(ExchangeProperty, HashJoinMatchesNaiveJoin) {
       }
     }
   }
-  HashExchangeOp ex_left({0}), ex_right({0});
-  OpStats s;
-  auto l = *ex_left.Execute(ctx_, {&left}, &s);
-  auto r = *ex_right.Execute(ctx_, {&right}, &s);
-  HashJoinOp join({0}, {0});
-  auto out = *join.Execute(ctx_, {&l, &r}, &s);
+  auto l = *RunOp(
+      ctx_, std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&left});
+  auto r = *RunOp(
+      ctx_, std::make_unique<HashExchangeOp>(std::vector<int>{0}), {&right});
+  auto out = *RunOp(ctx_,
+                    std::make_unique<HashJoinOp>(std::vector<int>{0},
+                                                 std::vector<int>{0}),
+                    {&l, &r});
   EXPECT_EQ(static_cast<int64_t>(RowsCount(out)), expected);
 }
 
@@ -207,30 +208,28 @@ TEST_P(ExchangeProperty, ModeledAndSharedMemoryAccountingAgree) {
                                ctx_.topology.num_nodes);
   for (int iter = 0; iter < 10; ++iter) {
     PartitionedRows in = RandomRows(rng, 50);
-    auto run = [&](ExchangeOperator& op, transport::Transport* t,
-                   OpStats* stats) {
-      ExecContext ctx = ctx_;
-      ctx.transport = t;
-      PartitionedRows copy = in;  // private steal-able copy per run
-      return RunExchange(ctx, op, {&copy}, /*steal=*/nullptr, stats);
-    };
-    HashExchangeOp hash({0});
-    BroadcastExchangeOp bcast;
-    GatherOp gather;
-    ExchangeOperator* ops[] = {&hash, &bcast, &gather};
-    for (ExchangeOperator* op : ops) {
+    const std::function<std::unique_ptr<Operator>()> makers[] = {
+        [] { return std::make_unique<HashExchangeOp>(std::vector<int>{0}); },
+        [] { return std::make_unique<BroadcastExchangeOp>(); },
+        [] { return std::make_unique<GatherOp>(); }};
+    for (const auto& make : makers) {
+      const std::string name = make()->name();
+      auto run = [&](transport::Transport* t, OpStats* stats) {
+        ExecContext ctx = ctx_;
+        ctx.transport = t;
+        return RunOp(ctx, make(), {&in}, stats);
+      };
       OpStats m_stats, s_stats;
-      auto m = run(*op, modeled.get(), &m_stats);
-      auto s = run(*op, shm.get(), &s_stats);
-      ASSERT_TRUE(m.ok() && s.ok()) << op->name();
-      EXPECT_EQ(Flatten(*m), Flatten(*s)) << op->name();
-      EXPECT_EQ(m_stats.local_bytes, s_stats.local_bytes) << op->name();
-      EXPECT_EQ(m_stats.remote_bytes, s_stats.remote_bytes) << op->name();
-      EXPECT_EQ(m_stats.remote_transfers, s_stats.remote_transfers)
-          << op->name();
+      auto m = run(modeled.get(), &m_stats);
+      auto s = run(shm.get(), &s_stats);
+      ASSERT_TRUE(m.ok() && s.ok()) << name;
+      EXPECT_EQ(Flatten(*m), Flatten(*s)) << name;
+      EXPECT_EQ(m_stats.local_bytes, s_stats.local_bytes) << name;
+      EXPECT_EQ(m_stats.remote_bytes, s_stats.remote_bytes) << name;
+      EXPECT_EQ(m_stats.remote_transfers, s_stats.remote_transfers) << name;
       // Only the real backend spent ship time.
-      EXPECT_EQ(m_stats.transport_seconds, 0.0) << op->name();
-      EXPECT_GT(s_stats.transport_seconds, 0.0) << op->name();
+      EXPECT_EQ(m_stats.transport_seconds, 0.0) << name;
+      EXPECT_GT(s_stats.transport_seconds, 0.0) << name;
     }
   }
 }

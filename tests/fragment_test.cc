@@ -26,6 +26,7 @@
 #include "hyracks/ops_basic.h"
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_scan.h"
+#include "hyracks/scheduler.h"
 #include "observability/metrics.h"
 #include "storage/file_util.h"
 #include "transport/transport.h"
@@ -374,10 +375,9 @@ TEST(RemoteTaskLeaseTest, EveryBuildReportsOneClosedLease) {
   ctx.pool = &pool;
   ctx.topology = {2, 2};
   ctx.stats = &stats;
-  ctx.executor = ExecutorKind::kScheduler;
   ctx.transport = t.get();
   ctx.on_lease_complete = &on_complete;
-  Result<PartitionedRows> out = Executor::Run(job, ctx);
+  Result<PartitionedRows> out = Scheduler::Run(job, ctx);
   ASSERT_TRUE(out.ok()) << out.status().ToString();
 
   // One lease per (exchange destination) kBuild task, each completed ok,

@@ -1,12 +1,14 @@
-// Cross-checks the task-graph scheduler against the stage-sequential
-// executor: identical outputs (byte-identical serialization, not just
-// multisets), identical OpStats traffic counters, and byte-identical error
-// strings for injected per-partition failures — under pool sizes 1, 2 and 8
-// and with no pool at all. Diamond and REPLICATE (shared-node) job shapes,
-// exchanges (hash, broadcast, gather, merge-gather) and a barrier operator
-// (RANK-ASSIGN) are all exercised.
+// Checks the task-graph scheduler against oracles computed in the test
+// itself: exact outputs (byte-identical serialization, not just multisets)
+// and exact error strings for injected failures, under pool sizes 1, 2 and 8
+// and with no pool at all, plus identical OpStats traffic counters across
+// pool sizes. Diamond and REPLICATE (shared-node) job shapes, exchanges
+// (hash, broadcast, gather, merge-gather) and barrier operators
+// (RANK-ASSIGN, a wrong-partition-count barrier) are all exercised.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -22,6 +24,7 @@
 #include "hyracks/ops_exchange.h"
 #include "hyracks/ops_group.h"
 #include "hyracks/ops_scan.h"
+#include "hyracks/scheduler.h"
 
 namespace simdb::hyracks {
 namespace {
@@ -68,7 +71,7 @@ class FailOp : public PartitionOperator {
 };
 
 /// Exact serialization: partition order and row order must match, not just
-/// the multiset — both executors are deterministic.
+/// the multiset — the scheduler is deterministic.
 std::string Serialize(const PartitionedRows& rows) {
   std::string out;
   for (size_t p = 0; p < rows.size(); ++p) {
@@ -83,8 +86,8 @@ std::string Serialize(const PartitionedRows& rows) {
   return out;
 }
 
-/// Everything in OpStats that must be identical across executors and pool
-/// sizes (timings excluded).
+/// Everything in OpStats that must be identical across pool sizes (timings
+/// excluded).
 std::vector<std::string> SummarizeOps(const ExecStats& stats) {
   std::vector<std::string> out;
   for (const OpStats& op : stats.ops) {
@@ -110,7 +113,7 @@ struct RunOutcome {
   std::vector<std::string> ops;
 };
 
-RunOutcome RunJob(const Job& job, ExecutorKind kind, size_t pool_size) {
+RunOutcome RunJob(const Job& job, size_t pool_size) {
   std::unique_ptr<ThreadPool> pool;
   if (pool_size > 0) pool = std::make_unique<ThreadPool>(pool_size);
   ExecStats stats;
@@ -118,8 +121,7 @@ RunOutcome RunJob(const Job& job, ExecutorKind kind, size_t pool_size) {
   ctx.pool = pool.get();
   ctx.topology = {2, 2};  // 2 nodes x 2 partitions
   ctx.stats = &stats;
-  ctx.executor = kind;
-  Result<PartitionedRows> out = Executor::Run(job, ctx);
+  Result<PartitionedRows> out = Scheduler::Run(job, ctx);
   RunOutcome o;
   EXPECT_TRUE(stats.has_task_dag);
   if (out.ok()) {
@@ -131,9 +133,42 @@ RunOutcome RunJob(const Job& job, ExecutorKind kind, size_t pool_size) {
   return o;
 }
 
-constexpr ExecutorKind kKinds[] = {ExecutorKind::kScheduler,
-                                   ExecutorKind::kStageSequential};
+constexpr int kParts = 4;  // RunJob's 2x2 topology
 constexpr size_t kPoolSizes[] = {0, 1, 2, 8};  // 0 = no pool (inline)
+
+/// Runs `job` at every pool size and checks each run against the expected
+/// serialized rows; OpStats must match the inline run's exactly.
+void ExpectRowsAtEveryPoolSize(const Job& job, const std::string& expected) {
+  std::vector<std::string> inline_ops;
+  for (size_t pool : kPoolSizes) {
+    RunOutcome o = RunJob(job, pool);
+    ASSERT_TRUE(o.status.ok()) << o.status.ToString();
+    EXPECT_EQ(o.rows, expected) << "pool " << pool;
+    if (pool == 0) inline_ops = o.ops;
+    EXPECT_EQ(o.ops, inline_ops) << "pool " << pool;
+  }
+}
+
+/// Runs `job` at every pool size (several trials each, so failures race)
+/// and checks the reported error.
+void ExpectErrorAtEveryPoolSize(const Job& job, StatusCode code,
+                                const std::string& expected) {
+  for (size_t pool : kPoolSizes) {
+    for (int trial = 0; trial < 5; ++trial) {
+      RunOutcome o = RunJob(job, pool);
+      ASSERT_FALSE(o.status.ok()) << "pool " << pool;
+      EXPECT_EQ(o.status.code(), code) << "pool " << pool;
+      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
+    }
+  }
+}
+
+/// A job result with every row in partition 0.
+std::string GatheredRows(Rows rows) {
+  PartitionedRows out(kParts);
+  out[0] = std::move(rows);
+  return Serialize(out);
+}
 
 /// Diamond: one source feeding two branches that reunite, then a hash
 /// repartition, group, per-partition sort and a merge gather.
@@ -195,33 +230,49 @@ Job MakeReplicateJob() {
   return job;
 }
 
-TEST(SchedulerTest, DiamondIdenticalAcrossExecutorsAndPoolSizes) {
-  Job job = MakeDiamondJob();
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
-  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  EXPECT_FALSE(base.rows.empty());
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
-      EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
+/// The diamond's answer from IntSourceOp(50)'s values alone: every v > 1500
+/// once plus every 2v, counted per value, merged into ascending order.
+std::string DiamondExpected() {
+  std::map<int64_t, int64_t> counts;
+  for (int p = 0; p < kParts; ++p) {
+    for (int i = 0; i < 50; ++i) {
+      int64_t v = p * 1000 + i;
+      if (v > 1500) ++counts[v];
+      ++counts[2 * v];
     }
   }
+  Rows rows;
+  for (const auto& [v, n] : counts) {
+    rows.push_back({Value::Int64(v), Value::Int64(n)});
+  }
+  return GatheredRows(std::move(rows));
 }
 
-TEST(SchedulerTest, ReplicateIdenticalAcrossExecutorsAndPoolSizes) {
-  Job job = MakeReplicateJob();
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
-  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
-      EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
+/// The REPLICATE job's answer: partition p holds 3v for its own source rows,
+/// then the broadcast copy of every v; gathered in partition order and
+/// ranked from 0.
+std::string ReplicateExpected() {
+  Rows rows;
+  for (int p = 0; p < kParts; ++p) {
+    for (int i = 0; i < 20; ++i) {
+      rows.push_back({Value::Int64(3 * (p * 1000 + i))});
+    }
+    for (int q = 0; q < kParts; ++q) {
+      for (int i = 0; i < 20; ++i) rows.push_back({Value::Int64(q * 1000 + i)});
     }
   }
+  for (size_t r = 0; r < rows.size(); ++r) {
+    rows[r].push_back(Value::Int64(static_cast<int64_t>(r)));
+  }
+  return GatheredRows(std::move(rows));
+}
+
+TEST(SchedulerTest, DiamondMatchesOracleAtEveryPoolSize) {
+  ExpectRowsAtEveryPoolSize(MakeDiamondJob(), DiamondExpected());
+}
+
+TEST(SchedulerTest, ReplicateMatchesOracleAtEveryPoolSize) {
+  ExpectRowsAtEveryPoolSize(MakeReplicateJob(), ReplicateExpected());
 }
 
 TEST(SchedulerTest, LowestFailingPartitionWinsUnderAnyInterleaving) {
@@ -230,16 +281,8 @@ TEST(SchedulerTest, LowestFailingPartitionWinsUnderAnyInterleaving) {
   int fail = job.Add(std::make_unique<FailOp>(std::set<int>{1, 3}), {src},
                      RowSchema({"v"}));
   job.Add(std::make_unique<GatherOp>(), {fail}, RowSchema({"v"}));
-  const std::string expected = "node 1 (FAIL): partition 1: boom 1";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      for (int trial = 0; trial < 5; ++trial) {
-        RunOutcome o = RunJob(job, kind, pool);
-        ASSERT_FALSE(o.status.ok());
-        EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-      }
-    }
-  }
+  ExpectErrorAtEveryPoolSize(job, StatusCode::kInternal,
+                             "node 1 (FAIL): partition 1: boom 1");
 }
 
 TEST(SchedulerTest, LowestFailingNodeWinsAcrossParallelBranches) {
@@ -254,88 +297,98 @@ TEST(SchedulerTest, LowestFailingNodeWinsAcrossParallelBranches) {
   int uni =
       job.Add(std::make_unique<UnionAllOp>(), {f1, f2}, RowSchema({"v"}));
   job.Add(std::make_unique<GatherOp>(), {uni}, RowSchema({"v"}));
-  const std::string expected = "node 1 (FAIL): partition 3: boom 3";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      for (int trial = 0; trial < 5; ++trial) {
-        RunOutcome o = RunJob(job, kind, pool);
-        ASSERT_FALSE(o.status.ok());
-        EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-      }
-    }
-  }
+  ExpectErrorAtEveryPoolSize(job, StatusCode::kInternal,
+                             "node 1 (FAIL): partition 3: boom 3");
 }
 
-TEST(SchedulerTest, ExchangeRoutingErrorsMatch) {
+TEST(SchedulerTest, ExchangeRoutingErrorIsNodeLevel) {
   Job job;
   int src = job.Add(std::make_unique<IntSourceOp>(5), {}, RowSchema({"v"}));
   job.Add(std::make_unique<HashExchangeOp>(std::vector<int>{5}), {src},
           RowSchema({"v"}));
-  const std::string expected =
-      "node 1 (HASH-EXCHANGE): HASH-EXCHANGE key column out of range";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_FALSE(o.status.ok());
-      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-    }
-  }
+  ExpectErrorAtEveryPoolSize(
+      job, StatusCode::kInternal,
+      "node 1 (HASH-EXCHANGE): HASH-EXCHANGE key column out of range");
 }
 
-TEST(SchedulerTest, BarrierOperatorErrorsMatch) {
+TEST(SchedulerTest, BarrierOperatorErrorIsNodeLevel) {
   Job job;
   int src = job.Add(std::make_unique<IntSourceOp>(5), {}, RowSchema({"v"}));
   job.Add(std::make_unique<RankAssignOp>(), {src}, RowSchema({"v", "rank"}));
-  const std::string expected =
-      "node 1 (RANK-ASSIGN): RANK-ASSIGN requires a gathered "
-      "(single-partition) input";
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_FALSE(o.status.ok());
-      EXPECT_EQ(o.status.message(), expected) << "pool " << pool;
-    }
-  }
+  ExpectErrorAtEveryPoolSize(job, StatusCode::kInternal,
+                             "node 1 (RANK-ASSIGN): RANK-ASSIGN requires a "
+                             "gathered (single-partition) input");
 }
 
-TEST(SchedulerTest, ValidationErrorsMatch) {
-  // A missing dataset fails in Prepare (scheduler: at graph build; stage
-  // sequential: when the node executes) — the error string must not differ.
+/// A barrier that returns one partition whatever the topology.
+class OnePartitionBarrierOp : public BarrierOperator {
+ public:
+  std::string name() const override { return "ONE-PARTITION"; }
+  Result<PartitionedRows> Execute(
+      ExecContext&,
+      const std::vector<const PartitionedRows*>& inputs) override {
+    PartitionedRows out(1);
+    for (const Rows& part : *inputs[0]) {
+      out[0].insert(out[0].end(), part.begin(), part.end());
+    }
+    return out;
+  }
+};
+
+TEST(SchedulerTest, WrongPartitionCountIsANodeFailure) {
+  // Reported with the node prefix like every other node failure, and the
+  // consumer downstream of it never runs.
+  Job job;
+  int src = job.Add(std::make_unique<IntSourceOp>(5), {}, RowSchema({"v"}));
+  int bad = job.Add(std::make_unique<OnePartitionBarrierOp>(), {src},
+                    RowSchema({"v"}));
+  job.Add(std::make_unique<FailOp>(std::set<int>{0, 1, 2, 3}), {bad},
+          RowSchema({"v"}));
+  ExpectErrorAtEveryPoolSize(
+      job, StatusCode::kInternal,
+      "node 1 (ONE-PARTITION): produced 1 partitions, expected 4");
+}
+
+TEST(SchedulerTest, ValidationErrorIsNodeLevel) {
+  // DATA-SCAN fails in Prepare (no catalog), while the graph is built: a
+  // node-level error, without a partition.
   Job job;
   job.Add(std::make_unique<DataScanOp>("nonexistent"), {}, RowSchema({"t"}));
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
-  ASSERT_FALSE(base.status.ok());
-  EXPECT_NE(base.status.message().find("node 0"), std::string::npos);
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_FALSE(o.status.ok());
-      EXPECT_EQ(o.status.message(), base.status.message());
-      EXPECT_EQ(o.status.code(), base.status.code());
-    }
-  }
+  ExpectErrorAtEveryPoolSize(job, StatusCode::kInternal,
+                             "node 0 (DATA-SCAN(nonexistent)): no catalog");
 }
 
 TEST(SchedulerTest, SharedInputIsNotCorruptedByExchangeStealing) {
-  // One node feeds both a gather and a hash exchange. Tuple stealing must
-  // not fire for shared inputs (scheduler) or must fire only for the last
-  // consumer (stage-sequential) — either way both consumers see full data.
+  // One node feeds both a gather and a hash exchange. Neither may steal
+  // tuples from the shared input: the gather must deliver every source row
+  // in order, and the hash exchange every row once, to its routed partition.
   Job job;
   int src = job.Add(std::make_unique<IntSourceOp>(10), {}, RowSchema({"v"}));
   int g = job.Add(std::make_unique<GatherOp>(), {src}, RowSchema({"v"}));
   int hx = job.Add(std::make_unique<HashExchangeOp>(std::vector<int>{0}),
                    {src}, RowSchema({"v"}));
   job.Add(std::make_unique<UnionAllOp>(), {g, hx}, RowSchema({"v"}));
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
-  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : kPoolSizes) {
-      RunOutcome o = RunJob(job, kind, pool);
-      ASSERT_TRUE(o.status.ok()) << o.status.ToString();
-      EXPECT_EQ(o.rows, base.rows) << "pool " << pool;
-      EXPECT_EQ(o.ops, base.ops) << "pool " << pool;
+  PartitionedRows source(kParts);
+  for (int p = 0; p < kParts; ++p) {
+    for (int i = 0; i < 10; ++i) {
+      source[static_cast<size_t>(p)].push_back({Value::Int64(p * 1000 + i)});
     }
   }
+  ExecContext route_ctx;
+  Result<ExchangeOperator::Routing> routing =
+      HashExchangeOp({0}).Route(route_ctx, source);
+  ASSERT_TRUE(routing.ok()) << routing.status().ToString();
+  PartitionedRows expected(kParts);
+  for (const Rows& part : source) {
+    expected[0].insert(expected[0].end(), part.begin(), part.end());
+  }
+  for (size_t p = 0; p < source.size(); ++p) {
+    for (size_t i = 0; i < source[p].size(); ++i) {
+      expected[static_cast<size_t>(routing->destinations[p][i])].push_back(
+          source[p][i]);
+    }
+  }
+  ExpectRowsAtEveryPoolSize(job, Serialize(expected));
 }
 
 /// Merge gather whose one-shot Route() burns measurable wall time. Routing
@@ -364,30 +417,27 @@ TEST(SchedulerTest, MergeGatherRouteTimeNotChargedToIdleDestinations) {
   job.Add(std::make_unique<SlowRouteMergeGatherOp>(
               std::vector<SortKey>{{0, true}}),
           {src}, RowSchema({"v"}));
-  for (ExecutorKind kind : kKinds) {
-    for (size_t pool : {size_t{0}, size_t{2}}) {
-      std::unique_ptr<ThreadPool> tp;
-      if (pool > 0) tp = std::make_unique<ThreadPool>(pool);
-      ExecStats stats;
-      ExecContext ctx;
-      ctx.pool = tp.get();
-      ctx.topology = {2, 2};
-      ctx.stats = &stats;
-      ctx.executor = kind;
-      Result<PartitionedRows> out = Executor::Run(job, ctx);
-      ASSERT_TRUE(out.ok()) << out.status().ToString();
-      const OpStats* mg = nullptr;
-      for (const OpStats& op : stats.ops) {
-        if (op.name == "SLOW-MERGE-GATHER") mg = &op;
-      }
-      ASSERT_NE(mg, nullptr);
-      EXPECT_EQ(mg->partition_rows, (std::vector<uint64_t>{160, 0, 0, 0}));
-      ASSERT_EQ(mg->partition_seconds.size(), 4u);
-      for (int p = 1; p < 4; ++p) {
-        EXPECT_LT(mg->partition_seconds[p], 0.010)
-            << "victim partition " << p << " charged route time (executor "
-            << static_cast<int>(kind) << ", pool " << pool << ")";
-      }
+  for (size_t pool : {size_t{0}, size_t{2}}) {
+    std::unique_ptr<ThreadPool> tp;
+    if (pool > 0) tp = std::make_unique<ThreadPool>(pool);
+    ExecStats stats;
+    ExecContext ctx;
+    ctx.pool = tp.get();
+    ctx.topology = {2, 2};
+    ctx.stats = &stats;
+    Result<PartitionedRows> out = Scheduler::Run(job, ctx);
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    const OpStats* mg = nullptr;
+    for (const OpStats& op : stats.ops) {
+      if (op.name == "SLOW-MERGE-GATHER") mg = &op;
+    }
+    ASSERT_NE(mg, nullptr);
+    EXPECT_EQ(mg->partition_rows, (std::vector<uint64_t>{160, 0, 0, 0}));
+    ASSERT_EQ(mg->partition_seconds.size(), 4u);
+    for (int p = 1; p < 4; ++p) {
+      EXPECT_LT(mg->partition_seconds[p], 0.010)
+          << "victim partition " << p << " charged route time (pool " << pool
+          << ")";
     }
   }
 }
@@ -477,10 +527,9 @@ BudgetedRun RunWithBudget(const Job& job, size_t pool_size,
   ExecContext ctx;
   ctx.pool = pool.get();
   ctx.topology = {2, 2};
-  ctx.executor = ExecutorKind::kScheduler;
   ctx.budget = &budget;
   ctx.cancel = cancel;
-  Result<PartitionedRows> out = Executor::Run(job, ctx);
+  Result<PartitionedRows> out = Scheduler::Run(job, ctx);
   BudgetedRun r;
   r.in_use_after = budget.memory_in_use();
   r.peak = budget.peak_memory_bytes();
@@ -494,16 +543,25 @@ BudgetedRun RunWithBudget(const Job& job, size_t pool_size,
 
 TEST(SchedulerBudgetTest, ChargesReturnToZeroAfterSuccess) {
   Job job = MakeBudgetJob(std::make_unique<FailOp>(std::set<int>{}));
-  RunOutcome base = RunJob(job, ExecutorKind::kStageSequential, 1);
-  ASSERT_TRUE(base.status.ok()) << base.status.ToString();
-  ASSERT_NE(base.rows.find("payload-shared-by-every-copy-3039"),
-            std::string::npos);
+  // The budget job's answer: every (s, id) in descending id order.
+  std::vector<int64_t> ids;
+  for (int p = 0; p < kParts; ++p) {
+    for (int i = 0; i < 40; ++i) ids.push_back(p * 1000 + i);
+  }
+  std::sort(ids.rbegin(), ids.rend());
+  Rows rows;
+  for (int64_t id : ids) {
+    rows.push_back({Value::String("payload-shared-by-every-copy-" +
+                                  std::to_string(id)),
+                    Value::Int64(id)});
+  }
+  const std::string expected = GatheredRows(std::move(rows));
   for (size_t pool : kPoolSizes) {
     for (int rep = 0; rep < 5; ++rep) {
       BudgetedRun r = RunWithBudget(job, pool, /*max_memory_bytes=*/0);
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
       // The root output survived every release and is read after the run.
-      EXPECT_EQ(r.rows, base.rows) << "pool " << pool;
+      EXPECT_EQ(r.rows, expected) << "pool " << pool;
       EXPECT_GT(r.peak, 0) << "pool " << pool;
       EXPECT_EQ(r.in_use_after, 0) << "pool " << pool;
     }
