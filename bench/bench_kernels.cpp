@@ -290,20 +290,10 @@ std::string InvertedIndexFixture::dir_;
 BENCHMARK_DEFINE_F(InvertedIndexFixture, TOccurrenceScanCount)
 (benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index_->SearchTOccurrence(
-        query_, 4, storage::TOccurrenceAlgorithm::kScanCount));
+    benchmark::DoNotOptimize(index_->SearchTOccurrence(query_, 4));
   }
 }
 BENCHMARK_REGISTER_F(InvertedIndexFixture, TOccurrenceScanCount);
-
-BENCHMARK_DEFINE_F(InvertedIndexFixture, TOccurrenceHeapMerge)
-(benchmark::State& state) {
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(index_->SearchTOccurrence(
-        query_, 4, storage::TOccurrenceAlgorithm::kHeapMerge));
-  }
-}
-BENCHMARK_REGISTER_F(InvertedIndexFixture, TOccurrenceHeapMerge);
 
 // Batch path: occurrences counted in a dense per-slot counter array directly
 // over the cached posting arrays — no gather copy, no per-posting hashing.
@@ -312,22 +302,23 @@ BENCHMARK_DEFINE_F(InvertedIndexFixture, TOccurrenceBatch)
 (benchmark::State& state) {
   simd::TOccurrenceScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index_->SearchTOccurrence(
-        query_, 4, storage::TOccurrenceAlgorithm::kScanCount,
-        /*stats=*/nullptr, /*use_cache=*/true, &scratch));
+    benchmark::DoNotOptimize(
+        index_->SearchTOccurrence(query_, 4, /*stats=*/nullptr, &scratch));
   }
 }
 BENCHMARK_REGISTER_F(InvertedIndexFixture, TOccurrenceBatch);
 
 // Cold path: every probe decodes its posting lists from the LSM instead of
-// hitting the decoded-list cache, isolating the cache's contribution.
+// hitting the decoded-list cache (a cache budget of 0), isolating the
+// cache's contribution. The shared index gets its default budget back.
 BENCHMARK_DEFINE_F(InvertedIndexFixture, TOccurrenceScanCountNoCache)
 (benchmark::State& state) {
+  index_->set_cache_budget_postings(0);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(index_->SearchTOccurrence(
-        query_, 4, storage::TOccurrenceAlgorithm::kScanCount,
-        /*stats=*/nullptr, /*use_cache=*/false));
+    benchmark::DoNotOptimize(index_->SearchTOccurrence(query_, 4));
   }
+  index_->set_cache_budget_postings(
+      storage::InvertedIndex::kDefaultCacheBudgetPostings);
 }
 BENCHMARK_REGISTER_F(InvertedIndexFixture, TOccurrenceScanCountNoCache);
 

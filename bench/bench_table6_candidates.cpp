@@ -47,10 +47,7 @@ Status Run() {
       for (int p = 0; p < ds->num_partitions(); ++p) {
         storage::InvertedSearchStats stats;
         SIMDB_RETURN_IF_ERROR(ds->inverted_index(p, "smix")
-                                  ->SearchTOccurrence(
-                                      tokens, t,
-                                      storage::TOccurrenceAlgorithm::kScanCount,
-                                      &stats)
+                                  ->SearchTOccurrence(tokens, t, &stats)
                                   .status());
         total_candidates += stats.candidates;
       }

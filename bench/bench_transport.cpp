@@ -1,8 +1,8 @@
 // Transport backend comparison on the Figure-27 scaling workload: the same
-// exchange-heavy Jaccard join runs under the modeled, shared-memory, and
-// socket backends as the simulated cluster grows 1 -> 8 nodes, reporting
-// measured wall clock, the cost-model makespan, and the measured transport
-// seconds (real backends) next to the modeled network charge. A second
+// exchange-heavy Jaccard join runs under the modeled and socket backends
+// as the simulated cluster grows 1 -> 8 nodes, reporting measured wall
+// clock, the cost-model makespan, and the measured transport seconds
+// (socket) next to the modeled network charge. A second
 // section microbenches the rows-frame codec (serialize/deserialize through
 // the versioned CRC frame) at several row counts.
 //
@@ -194,14 +194,12 @@ int Main(int argc, char** argv) {
 
   const int64_t full_data = Scaled(quick ? 400 : 4000);
   const transport::TransportKind kinds[] = {
-      transport::TransportKind::kModeled,
-      transport::TransportKind::kSharedMemory,
-      transport::TransportKind::kSocket};
+      transport::TransportKind::kModeled, transport::TransportKind::kSocket};
   std::vector<ScalingPoint> scaling;
 
   PrintTitle("Transport backends on the Figure-27 speed-up workload",
              "same Jaccard join, fixed data, cluster grows 1 -> 8 nodes; "
-             "modeled charges the network formula, shm/socket measure real "
+             "modeled charges the network formula, socket measures real "
              "ship time");
   PrintRow({"nodes", "backend", "wall", "makespan", "net(meas)", "net(model)",
             "remote"});

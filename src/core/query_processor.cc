@@ -216,8 +216,6 @@ Status QueryProcessor::RunQuery(const aql::AExprPtr& query,
   ctx.catalog = &catalog_;
   ctx.topology = options_.topology;
   ctx.stats = &exec_stats;
-  ctx.t_occurrence_algorithm = options_.t_occurrence_algorithm;
-  ctx.posting_cache_enabled = options_.posting_cache_enabled;
   ctx.batch_execution = options_.batch_execution;
   ctx.batch_size = options_.batch_size;
   ctx.transport = transport_.get();

@@ -30,10 +30,6 @@ struct EngineOptions {
   storage::LsmOptions lsm;
   /// Worker threads executing partitions (0 = hardware concurrency).
   size_t num_threads = 0;
-  storage::TOccurrenceAlgorithm t_occurrence_algorithm =
-      storage::TOccurrenceAlgorithm::kScanCount;
-  /// Serve inverted-index probes from the decoded posting-list cache.
-  bool posting_cache_enabled = true;
   /// Batch execution: hot similarity operators process rows in columnar
   /// scratch batches through the runtime-dispatched SIMD kernels. Off forces
   /// the tuple-at-a-time path everywhere; the two are answer-identical.
@@ -140,20 +136,6 @@ class QueryProcessor {
 
   storage::Catalog* catalog() { return &catalog_; }
   const EngineOptions& options() const { return options_; }
-
-  /// Switches the T-occurrence algorithm used by subsequent queries. The
-  /// algorithms must be answer-equivalent; the differential fuzz harness
-  /// toggles this per execution variant without rebuilding the engine.
-  void set_t_occurrence_algorithm(storage::TOccurrenceAlgorithm algorithm) {
-    options_.t_occurrence_algorithm = algorithm;
-  }
-
-  /// Toggles the inverted-index posting-list cache for subsequent queries.
-  /// Cached and uncached execution must be answer-identical; the differential
-  /// fuzz harness toggles this per execution variant.
-  void set_posting_cache_enabled(bool enabled) {
-    options_.posting_cache_enabled = enabled;
-  }
 
   /// Toggles the columnar/SIMD batch execution path for subsequent queries.
   /// Batch and tuple execution must be answer-identical; the batch

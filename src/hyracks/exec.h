@@ -12,7 +12,6 @@
 #include "hyracks/budget.h"
 #include "hyracks/tuple.h"
 #include "storage/catalog.h"
-#include "storage/inverted_index.h"
 
 namespace simdb::obs {
 class TraceCollector;
@@ -103,7 +102,7 @@ struct ExecStats {
   /// enables the cost model's critical-path makespan.
   bool has_task_dag = false;
   /// True when the run shipped exchange traffic through a wall-clock
-  /// transport backend (shm, socket): transport time is then already inside
+  /// transport backend (socket): transport time is then already inside
   /// the exchange partition_seconds, and the cost model must report the
   /// measured seconds instead of charging its modeled network formula.
   bool network_measured = false;
@@ -158,12 +157,6 @@ struct ExecContext {
   storage::Catalog* catalog = nullptr;
   ClusterTopology topology;
   ExecStats* stats = nullptr;
-  storage::TOccurrenceAlgorithm t_occurrence_algorithm =
-      storage::TOccurrenceAlgorithm::kScanCount;
-  /// Serve inverted-index probes from the decoded posting-list cache. The
-  /// cached and uncached paths must be answer-identical (checked by the
-  /// differential fuzz harness).
-  bool posting_cache_enabled = true;
   /// Batch execution: the hot similarity operators (inverted-index search,
   /// select/join verification, similarity assign) process rows in fixed-size
   /// columnar scratch batches over dense token ids and dispatch to the

@@ -21,7 +21,7 @@ namespace simdb::hyracks::fragment {
 /// the parent would run, and gathered back as rows plus the worker's own
 /// traffic accounting. Because both sides run identical operator code over
 /// an identical input slice, remote and local builds are bit-identical; the
-/// modeled/shm backends stay the differential oracle for this path.
+/// modeled backend stays the differential oracle for this path.
 ///
 /// Layering: this module lives in the operator library, which the transport
 /// library must not depend on. The worker-side interpreter is therefore

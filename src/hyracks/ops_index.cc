@@ -50,9 +50,7 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
   // directly over the cached posting arrays (no gather copy, no per-posting
   // hash); the scratch is reused across every probe of the partition.
   simd::TOccurrenceScratch scratch;
-  const bool batch =
-      ctx.batch_execution &&
-      ctx.t_occurrence_algorithm == storage::TOccurrenceAlgorithm::kScanCount;
+  const bool batch = ctx.batch_execution;
   BatchStats bs;
   Rows rows;
   // Duplicate search keys are common (e.g. popular outer values after
@@ -109,9 +107,8 @@ Result<Rows> InvertedIndexSearchOp::ExecutePartition(
     }
     SIMDB_ASSIGN_OR_RETURN(
         std::vector<int64_t> pks,
-        index->SearchTOccurrence(tokens, t, ctx.t_occurrence_algorithm,
+        index->SearchTOccurrence(tokens, t,
                                  profiling ? &search_stats : nullptr,
-                                 ctx.posting_cache_enabled,
                                  batch ? &scratch : nullptr));
     if (batch) {
       ++bs.rows;

@@ -1,7 +1,6 @@
 #include "storage/inverted_index.h"
 
 #include <algorithm>
-#include <queue>
 #include <string_view>
 #include <unordered_set>
 
@@ -150,14 +149,13 @@ Result<DecodedPostingList> InvertedIndex::DecodePostings(uint32_t id) const {
 }
 
 Result<std::shared_ptr<const DecodedPostingList>> InvertedIndex::FetchDecoded(
-    const std::string& token, bool use_cache,
-    InvertedSearchStats* stats) const {
+    const std::string& token, InvertedSearchStats* stats) const {
   static const std::shared_ptr<const DecodedPostingList> kEmpty =
       std::make_shared<const DecodedPostingList>();
   std::optional<uint32_t> id = dict_.Lookup(token);
   // Unknown to the dictionary == never stored: no LSM probe needed.
   if (!id.has_value()) return kEmpty;
-  if (use_cache) {
+  {
     MutexLock lock(cache_mu_);
     auto it = cache_.find(*id);
     if (it != cache_.end()) {
@@ -168,28 +166,18 @@ Result<std::shared_ptr<const DecodedPostingList>> InvertedIndex::FetchDecoded(
   if (stats != nullptr) ++stats->cache_misses;
   SIMDB_ASSIGN_OR_RETURN(DecodedPostingList decoded, DecodePostings(*id));
   auto list = std::make_shared<const DecodedPostingList>(std::move(decoded));
-  if (use_cache) {
-    MutexLock lock(cache_mu_);
-    // Budget read under the lock: set_cache_budget_postings may race with
-    // probes (the fuzz harness retunes between variants).
-    if (list->pks.size() > cache_budget_postings_) return list;
-    auto [it, inserted] = cache_.emplace(*id, list);
-    (void)it;
-    if (inserted) {
-      cache_order_.push_back(*id);
-      cache_postings_ += list->pks.size();
-      EvictOverBudgetLocked();
-    }
+  MutexLock lock(cache_mu_);
+  // Budget read under the lock: set_cache_budget_postings may race with
+  // probes (the fuzz harness retunes between variants).
+  if (list->pks.size() > cache_budget_postings_) return list;
+  auto [it, inserted] = cache_.emplace(*id, list);
+  (void)it;
+  if (inserted) {
+    cache_order_.push_back(*id);
+    cache_postings_ += list->pks.size();
+    EvictOverBudgetLocked();
   }
   return list;
-}
-
-Result<std::shared_ptr<const std::vector<int64_t>>>
-InvertedIndex::FetchPostings(const std::string& token, bool use_cache,
-                             InvertedSearchStats* stats) const {
-  SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(token, use_cache, stats));
-  // Aliasing constructor: shares ownership of the decoded list, no copy.
-  return std::shared_ptr<const std::vector<int64_t>>(list, &list->pks);
 }
 
 void InvertedIndex::EvictOverBudgetLocked() const {
@@ -212,14 +200,13 @@ void InvertedIndex::set_cache_budget_postings(size_t budget) {
 
 Result<std::vector<int64_t>> InvertedIndex::PostingList(
     const std::string& token) const {
-  SIMDB_ASSIGN_OR_RETURN(auto list, FetchPostings(token));
-  return *list;
+  SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(token));
+  return list->pks;
 }
 
 Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
     const std::vector<std::string>& query_tokens, int t,
-    TOccurrenceAlgorithm algorithm, InvertedSearchStats* stats, bool use_cache,
-    simd::TOccurrenceScratch* scratch) const {
+    InvertedSearchStats* stats, simd::TOccurrenceScratch* scratch) const {
   if (t < 1) {
     return Status::InvalidArgument(
         "SearchTOccurrence requires t >= 1 (corner case must be handled by "
@@ -244,7 +231,7 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
   lists.reserve(distinct.size());
   size_t total_postings = 0;
   for (const std::string* q : distinct) {
-    SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(*q, use_cache, &local));
+    SIMDB_ASSIGN_OR_RETURN(auto list, FetchDecoded(*q, &local));
     ++local.lists_probed;
     local.postings_read += list->pks.size();
     total_postings += list->pks.size();
@@ -261,7 +248,7 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
     }
   }
 
-  if (algorithm == TOccurrenceAlgorithm::kScanCount && slots_usable) {
+  if (slots_usable) {
     // Batch path: count occurrences in a dense counter array indexed by
     // candidate slot, reading the cached slot arrays in place (zero copy,
     // zero hashing). Reset cost is proportional to slots touched.
@@ -280,7 +267,7 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
     result.reserve(hit_slots.size());
     for (uint32_t s : hit_slots) result.push_back(slot_pk_[s]);
     std::sort(result.begin(), result.end());
-  } else if (algorithm == TOccurrenceAlgorithm::kScanCount) {
+  } else {
     // ScanCount over integer pks: gather every posting into one flat array,
     // sort, and count equal runs. Cache-friendly and allocation-light
     // compared to hashing each posting, but pays a copy of every posting
@@ -302,32 +289,6 @@ Result<std::vector<int64_t>> InvertedIndex::SearchTOccurrence(
         ++local.keys_pruned;
       }
       i = j;
-    }
-  } else {
-    // Heap merge over the sorted posting lists; a pk appearing in >= t lists
-    // produces a run of >= t equal heads.
-    using Head = std::pair<int64_t, size_t>;  // (pk, list id)
-    std::priority_queue<Head, std::vector<Head>, std::greater<Head>> heap;
-    std::vector<size_t> pos(lists.size(), 0);
-    for (size_t i = 0; i < lists.size(); ++i) {
-      heap.push({lists[i]->pks[0], i});
-    }
-    while (!heap.empty()) {
-      int64_t pk = heap.top().first;
-      int count = 0;
-      while (!heap.empty() && heap.top().first == pk) {
-        auto [_, li] = heap.top();
-        heap.pop();
-        ++count;
-        if (++pos[li] < lists[li]->pks.size()) {
-          heap.push({lists[li]->pks[pos[li]], li});
-        }
-      }
-      if (count >= t) {
-        result.push_back(pk);
-      } else {
-        ++local.keys_pruned;
-      }
     }
   }
 

@@ -16,12 +16,6 @@
 
 namespace simdb::storage {
 
-/// Algorithm used to solve the T-occurrence problem over posting lists.
-enum class TOccurrenceAlgorithm {
-  kScanCount,  // gather postings, sort, count runs (robust default)
-  kHeapMerge,  // k-way merge of sorted lists counting equal runs
-};
-
 /// Counters describing one inverted-index search (reported by Table 6 and
 /// the kernel ablation benches).
 struct InvertedSearchStats {
@@ -81,19 +75,12 @@ class InvertedIndex {
   Result<std::vector<int64_t>> PostingList(const std::string& token) const;
 
   /// Shared decoded posting list for `token` (empty list when the token is
-  /// unknown): pks plus aligned dense slots. Served from the cache when
-  /// `use_cache` is set; the returned list stays valid even if the cache is
+  /// unknown): pks plus aligned dense slots, served from the cache when it
+  /// holds the list. The returned list stays valid even if the cache is
   /// invalidated afterwards. Callers read spans over the cached arrays —
   /// there is no per-hit copy.
   Result<std::shared_ptr<const DecodedPostingList>> FetchDecoded(
-      const std::string& token, bool use_cache = true,
-      InvertedSearchStats* stats = nullptr) const;
-
-  /// Back-compat view of FetchDecoded: the pks of the decoded list, aliased
-  /// into the same shared allocation (still no copy).
-  Result<std::shared_ptr<const std::vector<int64_t>>> FetchPostings(
-      const std::string& token, bool use_cache = true,
-      InvertedSearchStats* stats = nullptr) const;
+      const std::string& token, InvertedSearchStats* stats = nullptr) const;
 
   /// Solves the T-occurrence problem: returns the sorted pks that appear on
   /// at least `t` of the query tokens' posting lists. `t` must be >= 1 (the
@@ -107,16 +94,20 @@ class InvertedIndex {
   /// gather+sort path (its copies are reported via stats->bytes_copied).
   Result<std::vector<int64_t>> SearchTOccurrence(
       const std::vector<std::string>& query_tokens, int t,
-      TOccurrenceAlgorithm algorithm = TOccurrenceAlgorithm::kScanCount,
-      InvertedSearchStats* stats = nullptr, bool use_cache = true,
+      InvertedSearchStats* stats = nullptr,
       simd::TOccurrenceScratch* scratch = nullptr) const;
 
   /// Token -> dense id mapping covering every token this index has stored
   /// (a superset after removes; rebuilt frequency-ordered by Open/BulkLoad).
   const TokenDictionary& dictionary() const { return dict_; }
 
+  /// Posting-list cache budget of a freshly opened index.
+  static constexpr size_t kDefaultCacheBudgetPostings =
+      1u << 22;  // ~32 MB of int64 postings
+
   /// Test hooks for the posting-list cache. Lowering the budget evicts
-  /// already-cached lists down to the new bound.
+  /// already-cached lists down to the new bound; a budget of 0 makes every
+  /// probe of a non-empty list decode it from the LSM.
   void set_cache_budget_postings(size_t budget);
   size_t cached_postings() const;
   size_t cached_lists() const;
@@ -169,7 +160,7 @@ class InvertedIndex {
   mutable std::deque<uint32_t> cache_order_ SIMDB_GUARDED_BY(cache_mu_);
   mutable size_t cache_postings_ SIMDB_GUARDED_BY(cache_mu_) = 0;
   size_t cache_budget_postings_ SIMDB_GUARDED_BY(cache_mu_) =
-      1u << 22;  // ~32 MB of int64 postings
+      kDefaultCacheBudgetPostings;
 };
 
 }  // namespace simdb::storage

@@ -17,15 +17,13 @@ using core::EngineOptions;
 using core::QueryProcessor;
 using core::QueryResult;
 
-/// Applies a variant's optimizer flags and runtime algorithm to an engine.
+/// Applies a variant's optimizer flags and runtime settings to an engine.
 void ApplyVariant(QueryProcessor& engine, const ExecVariant& v) {
   algebricks::OptContext& opt = engine.opt_context();
   opt.enable_index_select = v.enable_index_select;
   opt.enable_index_join = v.enable_index_join;
   opt.enable_three_stage_join = v.enable_three_stage_join;
   opt.enable_surrogate_join = v.enable_surrogate_join;
-  engine.set_t_occurrence_algorithm(v.t_occurrence);
-  engine.set_posting_cache_enabled(v.posting_cache);
   engine.set_batch_execution(v.batch_execution);
   if (engine.transport_kind() != v.transport) engine.set_transport(v.transport);
 }
@@ -188,20 +186,6 @@ std::vector<ExecVariant> PlanVariantMatrix() {
   threestage.label = "threestage";
   threestage.enable_index_join = false;
   variants.push_back(threestage);
-
-  ExecVariant heapmerge = indexed;
-  heapmerge.label = "indexed-heapmerge";
-  heapmerge.t_occurrence = storage::TOccurrenceAlgorithm::kHeapMerge;
-  variants.push_back(heapmerge);
-
-  // The decoded posting-list cache must be invisible to results: run the
-  // full indexed configuration again with the cache disabled. Because the
-  // cached variants above warm the cache on the same engines, any stale-
-  // cache bug shows up as a variant mismatch here.
-  ExecVariant nocache = indexed;
-  nocache.label = "indexed-nocache";
-  nocache.posting_cache = false;
-  variants.push_back(nocache);
   return variants;
 }
 
@@ -238,18 +222,26 @@ std::vector<ExecVariant> BatchVariantMatrix() {
 
 std::vector<ExecVariant> TransportVariantMatrix() {
   // The fully-indexed shape reaches every exchange kind (hash repartition,
-  // broadcast, gather, merge-gather). Each backend must agree bit-for-bit
-  // with the modeled baseline.
+  // broadcast, gather, merge-gather); the three-stage shape adds the AQL+
+  // Jaccard join's shared (REPLICATE) inputs and RANK-ASSIGN barrier. Each
+  // (shape, backend) pair must agree bit-for-bit with the modeled indexed
+  // baseline.
   std::vector<ExecVariant> variants;
+  ExecVariant indexed;
+  ExecVariant threestage;
+  threestage.enable_index_join = false;
+  const std::pair<const char*, ExecVariant> shapes[] = {
+      {"indexed", indexed}, {"threestage", threestage}};
   const std::pair<const char*, transport::TransportKind> backends[] = {
-      {"indexed-modeled", transport::TransportKind::kModeled},
-      {"indexed-shm", transport::TransportKind::kSharedMemory},
-      {"indexed-socket", transport::TransportKind::kSocket}};
-  for (const auto& [name, kind] : backends) {
-    ExecVariant v;
-    v.label = name;
-    v.transport = kind;
-    variants.push_back(v);
+      {"modeled", transport::TransportKind::kModeled},
+      {"socket", transport::TransportKind::kSocket}};
+  for (const auto& [shape_name, shape] : shapes) {
+    for (const auto& [backend_name, kind] : backends) {
+      ExecVariant v = shape;
+      v.label = std::string(shape_name) + "-" + backend_name;
+      v.transport = kind;
+      variants.push_back(v);
+    }
   }
   return variants;
 }

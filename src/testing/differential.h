@@ -5,14 +5,13 @@
 #include <vector>
 
 #include "hyracks/exec.h"
-#include "storage/inverted_index.h"
 #include "testing/fuzz.h"
 #include "transport/transport.h"
 
 namespace simdb::testing {
 
 /// One plan-variant configuration: which optimizer rewrites are allowed and
-/// which T-occurrence algorithm the runtime uses. Every variant must return
+/// how the runtime executes the plan. Every variant must return
 /// the same answer for every query — that is the paper's semantics-
 /// preservation claim this harness checks.
 struct ExecVariant {
@@ -21,15 +20,11 @@ struct ExecVariant {
   bool enable_index_join = true;
   bool enable_three_stage_join = true;
   bool enable_surrogate_join = true;
-  storage::TOccurrenceAlgorithm t_occurrence =
-      storage::TOccurrenceAlgorithm::kScanCount;
-  /// Serve inverted-index probes from the decoded posting-list cache.
-  bool posting_cache = true;
   /// Columnar/SIMD batch execution in the hot similarity operators. Batch
   /// and tuple execution must be answer-identical on every query.
   bool batch_execution = true;
-  /// Exchange transport backend (modeled / shared-memory / socket). All
-  /// backends must be answer- and error-identical on every query: the rows
+  /// Exchange transport backend (modeled / socket). Both backends must be
+  /// answer- and error-identical on every query: the rows
   /// round-trip losslessly through the wire frame, so shipping is an
   /// identity on the result.
   transport::TransportKind transport = transport::TransportKind::kModeled;
@@ -42,8 +37,6 @@ struct ExecVariant {
 ///                       join with surrogates / three-stage fallback)
 ///   indexed-nosurr    - index join without the surrogate optimization
 ///   threestage        - index joins off; Jaccard joins go three-stage
-///   indexed-heapmerge - all rewrites on, heap-merge T-occurrence
-///   indexed-nocache   - all rewrites on, posting-list cache disabled
 std::vector<ExecVariant> PlanVariantMatrix();
 
 /// The batch-execution differential matrix: the three plan shapes that
@@ -52,9 +45,9 @@ std::vector<ExecVariant> PlanVariantMatrix();
 /// pair must be bit-identical per plan shape.
 std::vector<ExecVariant> BatchVariantMatrix();
 
-/// The transport differential matrix: the fully-indexed plan shape run under
-/// every transport backend (modeled / shared-memory / socket). All variants
-/// must be bit-identical per query — results and errors.
+/// The transport differential matrix: the fully-indexed and three-stage plan
+/// shapes, each run under both transport backends (modeled / socket). All
+/// variants must be bit-identical per query — results and errors.
 std::vector<ExecVariant> TransportVariantMatrix();
 
 /// Cluster shapes the matrix runs under: 1x1, 2x2, 4x2

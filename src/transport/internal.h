@@ -29,8 +29,8 @@ Metrics& GetMetrics();
 
 /// Cached handles to the transport.fragment.* metrics (docs/DISTRIBUTED.md).
 /// Registered separately from Metrics and only by the socket backend: the
-/// modeled/shm backends never dispatch fragments, and registering the names
-/// for them would put emitted-but-never-incremented metrics into every
+/// modeled backend never dispatches fragments, and registering the names
+/// for it would put emitted-but-never-incremented metrics into every
 /// paper-figure profile snapshot the catalogue check audits.
 struct FragmentMetrics {
   obs::Counter* dispatched;
@@ -50,7 +50,6 @@ FragmentMetrics& GetFragmentMetrics();
 /// the parent) for A/B benchmarking.
 bool SocketFragmentsFromEnv();
 
-std::unique_ptr<Transport> MakeSharedMemoryTransport();
 std::unique_ptr<Transport> MakeSocketTransport(int num_nodes);
 
 }  // namespace simdb::transport::internal

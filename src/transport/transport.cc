@@ -5,6 +5,7 @@
 #include <cstring>
 
 #include "adm/wire.h"
+#include "common/logging.h"
 #include "transport/internal.h"
 
 namespace simdb::transport {
@@ -113,8 +114,6 @@ const char* TransportKindName(TransportKind kind) {
   switch (kind) {
     case TransportKind::kModeled:
       return "modeled";
-    case TransportKind::kSharedMemory:
-      return "shm";
     case TransportKind::kSocket:
       return "socket";
   }
@@ -127,10 +126,10 @@ TransportKind KindFromEnv(TransportKind fallback) {
   const char* env = std::getenv("SIMDB_TRANSPORT");
   if (env == nullptr) return fallback;
   if (std::strcmp(env, "modeled") == 0) return TransportKind::kModeled;
-  if (std::strcmp(env, "shm") == 0 || std::strcmp(env, "shared-memory") == 0) {
-    return TransportKind::kSharedMemory;
-  }
   if (std::strcmp(env, "socket") == 0) return TransportKind::kSocket;
+  SIMDB_LOG(kWarn) << "SIMDB_TRANSPORT=" << env
+                   << " is not a transport backend; using "
+                   << TransportKindName(fallback);
   return fallback;
 }
 
@@ -185,8 +184,6 @@ std::unique_ptr<Transport> MakeTransport(TransportKind kind, int num_nodes) {
   switch (kind) {
     case TransportKind::kModeled:
       return std::make_unique<ModeledTransport>();
-    case TransportKind::kSharedMemory:
-      return internal::MakeSharedMemoryTransport();
     case TransportKind::kSocket:
       return internal::MakeSocketTransport(num_nodes);
   }

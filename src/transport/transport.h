@@ -16,27 +16,25 @@ namespace simdb::transport {
 ///                  counted exchange traffic against a bandwidth/latency
 ///                  model. This is the paper-figure backend and is
 ///                  bit-identical to the pre-transport engine.
-///   kSharedMemory  every built destination is round-tripped through an
-///                  in-process frame queue: rows are serialized with
-///                  adm::Value::Serialize into a versioned/checksummed
-///                  frame, handed across, and deserialized back. Real
-///                  encode/decode on the exchange path, no processes.
 ///   kSocket        destinations with cross-node traffic are shipped over a
 ///                  UNIX socket pair to a forked worker process per cluster
 ///                  node, which validates, decodes, re-encodes, and replies.
+///                  Rows are serialized with adm::Value::Serialize into a
+///                  versioned/checksummed frame (EncodeRowsFrame below).
 ///                  Bytes genuinely leave and re-enter the process; the
 ///                  measured wall clock replaces the modeled network charge.
 ///
-/// All three backends must be answer- and error-identical: row serialization
+/// Both backends must be answer- and error-identical: row serialization
 /// is lossless, so the round trip is an identity on values, and ship
 /// failures surface through the exchange build task, where the executors'
 /// lowest-(node, partition)-wins rule keeps errors deterministic.
-enum class TransportKind { kModeled, kSharedMemory, kSocket };
+enum class TransportKind { kModeled, kSocket };
 
 const char* TransportKindName(TransportKind kind);
 
-/// Parses the SIMDB_TRANSPORT environment override ("modeled", "shm",
-/// "socket"); returns `fallback` when unset or unrecognized. Lets CI flip
+/// Parses the SIMDB_TRANSPORT environment override ("modeled", "socket");
+/// returns `fallback` when unset or unrecognized, logging a warning that
+/// names an unrecognized value and the backend used instead. Lets CI flip
 /// every engine in the process onto a backend without code changes.
 TransportKind KindFromEnv(TransportKind fallback);
 

@@ -230,16 +230,14 @@ TEST(InvertedIndexBatchTest, ScratchPathMatchesGatherAndCopiesNothing) {
   const std::vector<std::string> query = {"tok1", "tok2", "tok3", "rare5"};
   for (int t = 1; t <= 3; ++t) {
     storage::InvertedSearchStats gather_stats;
-    auto gather = (*index)->SearchTOccurrence(
-        query, t, storage::TOccurrenceAlgorithm::kScanCount, &gather_stats);
+    auto gather = (*index)->SearchTOccurrence(query, t, &gather_stats);
     ASSERT_TRUE(gather.ok());
     EXPECT_GT(gather_stats.bytes_copied, 0u);
 
     simd::TOccurrenceScratch scratch;
     storage::InvertedSearchStats batch_stats;
-    auto batched = (*index)->SearchTOccurrence(
-        query, t, storage::TOccurrenceAlgorithm::kScanCount, &batch_stats,
-        /*use_cache=*/true, &scratch);
+    auto batched =
+        (*index)->SearchTOccurrence(query, t, &batch_stats, &scratch);
     ASSERT_TRUE(batched.ok());
     EXPECT_EQ(batch_stats.bytes_copied, 0u);
     EXPECT_EQ(*gather, *batched) << "t=" << t;

@@ -177,44 +177,35 @@ TEST_F(CoreExtendedTest, EditDistanceOnOrderedLists) {
   EXPECT_EQ(count, 1);  // a vs b: one word deleted
 }
 
-// ---------- T-occurrence algorithm option ----------
+// ---------- index-based T-occurrence selection ----------
 
-TEST_F(CoreExtendedTest, HeapMergeAlgorithmGivesSameAnswers) {
-  std::string dir2 = dir_ + "_heap";
-  EngineOptions options;
-  options.data_dir = dir2;
-  options.topology = {2, 2};
-  options.num_threads = 2;
-  options.t_occurrence_algorithm = storage::TOccurrenceAlgorithm::kHeapMerge;
-  QueryProcessor heap_engine(options);
-  for (QueryProcessor* engine : {engine_.get(), &heap_engine}) {
-    ASSERT_TRUE(
-        engine->Execute("create dataset D primary key id;"
-                        "create index ix on D(text) type keyword;")
-            .ok());
-    for (int64_t i = 0; i < 50; ++i) {
-      ASSERT_TRUE(engine
-                      ->Insert("D", Value::MakeObject(
-                                        {{"id", Value::Int64(i)},
-                                         {"text", Value::String(
-                                              "tok" + std::to_string(i % 7) +
-                                              " tok" + std::to_string(i % 5) +
-                                              " tok" + std::to_string(i % 3))}}))
-                      .ok());
-    }
+TEST_F(CoreExtendedTest, IndexedJaccardSelectionMatchesScan) {
+  ASSERT_TRUE(engine_
+                  ->Execute("create dataset D primary key id;"
+                            "create index ix on D(text) type keyword;")
+                  .ok());
+  for (int64_t i = 0; i < 50; ++i) {
+    ASSERT_TRUE(engine_
+                    ->Insert("D", Value::MakeObject(
+                                      {{"id", Value::Int64(i)},
+                                       {"text", Value::String(
+                                            "tok" + std::to_string(i % 7) +
+                                            " tok" + std::to_string(i % 5) +
+                                            " tok" + std::to_string(i % 3))}}))
+                    .ok());
   }
   std::string query =
       "count(for $d in dataset D where "
       "similarity-jaccard(word-tokens($d.text), "
       "word-tokens('tok1 tok2 tok0')) >= 0.5 return $d)";
-  QueryResult scan_result, heap_result;
-  ASSERT_TRUE(engine_->Execute(query, &scan_result).ok());
-  ASSERT_TRUE(heap_engine.Execute(query, &heap_result).ok());
-  EXPECT_EQ(scan_result.rows[0].AsInt64(), heap_result.rows[0].AsInt64());
-  storage::RemoveAllBestEffort(dir2);
+  int64_t indexed = RunCount(query);
+  EXPECT_TRUE(RuleFired("introduce-similarity-select-index"));
+  engine_->opt_context().enable_index_select = false;
+  int64_t scanned = RunCount(query);
+  EXPECT_FALSE(RuleFired("introduce-similarity-select-index"));
+  EXPECT_EQ(indexed, scanned);
+  EXPECT_GT(indexed, 0);
 }
-
-// ---------- template text exposure ----------
 
 TEST_F(CoreExtendedTest, ThreeStageTemplateTextIsValidAqlPlus) {
   for (bool self_like : {true, false}) {

@@ -192,19 +192,19 @@ TEST_P(ExchangeProperty, HashJoinMatchesNaiveJoin) {
   EXPECT_EQ(static_cast<int64_t>(RowsCount(out)), expected);
 }
 
-TEST_P(ExchangeProperty, ModeledAndSharedMemoryAccountingAgree) {
+TEST_P(ExchangeProperty, ModeledAndSocketAccountingAgree) {
   // The exchange byte/transfer counters are computed by BuildDestination
   // from routing decisions alone — which backend then ships the built rows
   // must not change them. Run the same input through every exchange kind
-  // under the modeled and shared-memory backends and compare the counters
+  // under the modeled and socket backends and compare the counters
   // (these are the exchange.*.{local_bytes,remote_bytes} figures the
   // observability layer exports).
   Random rng(GetParam() + 900);
   std::unique_ptr<transport::Transport> modeled =
       transport::MakeTransport(transport::TransportKind::kModeled,
                                ctx_.topology.num_nodes);
-  std::unique_ptr<transport::Transport> shm =
-      transport::MakeTransport(transport::TransportKind::kSharedMemory,
+  std::unique_ptr<transport::Transport> socket =
+      transport::MakeTransport(transport::TransportKind::kSocket,
                                ctx_.topology.num_nodes);
   for (int iter = 0; iter < 10; ++iter) {
     PartitionedRows in = RandomRows(rng, 50);
@@ -221,7 +221,7 @@ TEST_P(ExchangeProperty, ModeledAndSharedMemoryAccountingAgree) {
       };
       OpStats m_stats, s_stats;
       auto m = run(modeled.get(), &m_stats);
-      auto s = run(shm.get(), &s_stats);
+      auto s = run(socket.get(), &s_stats);
       ASSERT_TRUE(m.ok() && s.ok()) << name;
       EXPECT_EQ(Flatten(*m), Flatten(*s)) << name;
       EXPECT_EQ(m_stats.local_bytes, s_stats.local_bytes) << name;

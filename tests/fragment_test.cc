@@ -318,20 +318,16 @@ TEST(TransportFragmentTest, EnvTogglesFragmentDispatchOff) {
   EXPECT_TRUE(t->CancelFragments(42, 1.0).ok());
 }
 
-TEST(TransportFragmentTest, NonSocketBackendsHaveNoRemoteExecution) {
-  for (transport::TransportKind kind :
-       {transport::TransportKind::kModeled,
-        transport::TransportKind::kSharedMemory}) {
-    std::unique_ptr<transport::Transport> t =
-        transport::MakeTransport(kind, 2);
-    EXPECT_FALSE(t->remote_execution());
-    std::string reply;
-    double seconds = 0;
-    EXPECT_EQ(t->ExecuteFragment(0, "x", &reply, &seconds).code(),
-              StatusCode::kUnsupported);
-    EXPECT_TRUE(t->CancelFragments(1, 1.0).ok());
-    EXPECT_TRUE(t->worker_pids().empty());
-  }
+TEST(TransportFragmentTest, ModeledBackendHasNoRemoteExecution) {
+  std::unique_ptr<transport::Transport> t =
+      transport::MakeTransport(transport::TransportKind::kModeled, 2);
+  EXPECT_FALSE(t->remote_execution());
+  std::string reply;
+  double seconds = 0;
+  EXPECT_EQ(t->ExecuteFragment(0, "x", &reply, &seconds).code(),
+            StatusCode::kUnsupported);
+  EXPECT_TRUE(t->CancelFragments(1, 1.0).ok());
+  EXPECT_TRUE(t->worker_pids().empty());
 }
 
 // --- Scheduler remote-task leases -----------------------------------------

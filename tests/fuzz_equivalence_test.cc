@@ -1,8 +1,8 @@
 // Differential plan-equivalence fuzzing: every seed expands into a random
 // dataset plus random similarity queries (selections, joins, multi-way
 // joins; thresholds include the T <= 0 corner cases), executed under the
-// full plan-variant x topology x T-occurrence matrix. All combinations must
-// return identical order-normalized result sets.
+// full plan-variant x topology matrix. All combinations must return
+// identical order-normalized result sets.
 //
 // Modes:
 //   (default)      the 50 fixed tier-1 seeds, one gtest case each — ctest
@@ -73,11 +73,11 @@ void RunSeedBatch(uint64_t seed) {
 }
 
 /// The exchange transport must be invisible to results: the same seed's
-/// queries run under every transport backend (modeled / shared-memory /
-/// socket) and every combination must return bit-identical order-normalized rows — the wire
-/// round-trip is an identity on values. Topologies include 1x1 (where the
-/// shm backend still ships everything) and 4x2 (where the socket backend
-/// crosses real process boundaries).
+/// queries run in the indexed and three-stage plan shapes under both
+/// transport backends (modeled / socket), and every combination must return
+/// bit-identical order-normalized rows — the wire round-trip is an identity
+/// on values. Topologies are 1x1 (one node: nothing crosses a process) and
+/// 4x2 (where the socket backend crosses real process boundaries).
 void RunSeedTransport(uint64_t seed) {
   FuzzCase c = MakeFuzzCase(seed);
   DifferentialOptions options;
@@ -88,9 +88,9 @@ void RunSeedTransport(uint64_t seed) {
   storage::RemoveAllBestEffort(options.scratch_dir);
   EXPECT_TRUE(report.ok) << report.failure;
   if (report.ok) {
-    // 3 transport variants x 2 topologies per query.
+    // 2 plan shapes x 2 transport backends x 2 topologies per query.
     EXPECT_GE(report.comparisons,
-              static_cast<int>(c.queries.size()) * 3 * 2)
+              static_cast<int>(c.queries.size()) * 4 * 2)
         << DescribeFuzzCase(c);
   }
 }

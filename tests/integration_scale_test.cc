@@ -147,39 +147,5 @@ TEST_F(IntegrationScaleTest, MultiWayOrderingsAgree) {
   EXPECT_EQ(jac_first, no_index);
 }
 
-TEST_F(IntegrationScaleTest, TOccurrenceAlgorithmsAgreeAtScale) {
-  datagen::WorkloadSampler sampler(gen_->texts(), 17);
-  auto value = sampler.SampleWithMinWords(3);
-  ASSERT_TRUE(value.ok());
-  std::string query =
-      "count(for $t in dataset AmazonReview where "
-      "similarity-jaccard(word-tokens($t.summary), word-tokens('" + *value +
-      "')) >= 0.5 return $t)";
-  // Second engine over the same storage dir is not safe (LSM handles are
-  // exclusive per instance); instead compare through a fresh engine with the
-  // heap-merge algorithm over freshly generated identical data.
-  std::string dir2 = dir_ + "_heap";
-  storage::RemoveAllBestEffort(dir2);
-  EngineOptions options;
-  options.data_dir = dir2;
-  options.topology = {4, 2};
-  options.num_threads = 2;
-  options.t_occurrence_algorithm = storage::TOccurrenceAlgorithm::kHeapMerge;
-  QueryProcessor heap_engine(options);
-  ASSERT_TRUE(heap_engine
-                  .Execute("create dataset AmazonReview primary key id;"
-                           "create index smix on AmazonReview(summary) "
-                           "type keyword;")
-                  .ok());
-  datagen::TextDatasetGenerator gen(datagen::AmazonProfile(), 2026);
-  for (int64_t i = 0; i < kRecords; ++i) {
-    ASSERT_TRUE(heap_engine.Insert("AmazonReview", gen.NextRecord(i)).ok());
-  }
-  QueryResult heap_result;
-  ASSERT_TRUE(heap_engine.Execute(query, &heap_result).ok());
-  EXPECT_EQ(RunCount(query), heap_result.rows[0].AsInt64());
-  storage::RemoveAllBestEffort(dir2);
-}
-
 }  // namespace
 }  // namespace simdb::core

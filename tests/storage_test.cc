@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <set>
@@ -425,7 +426,7 @@ TEST(InvertedIndexTest, PaperFigure3Example) {
   EXPECT_EQ(verified, (std::vector<int64_t>{5}));
 }
 
-TEST(InvertedIndexTest, ScanCountAndHeapMergeAgree) {
+TEST(InvertedIndexTest, CounterArrayAndGatherPathsAgree) {
   TempDir dir;
   auto index = *InvertedIndex::Open(dir.path() + "/inv");
   Random rng(5);
@@ -439,14 +440,25 @@ TEST(InvertedIndexTest, ScanCountAndHeapMergeAgree) {
     docs.push_back(tokens);
     ASSERT_TRUE(index->Insert(tokens, pk).ok());
   }
+  // The counter-array path (with scratch, as batch execution runs it) and
+  // the gather+sort path (without) must both match a brute-force count.
+  simd::TOccurrenceScratch scratch;
   for (int q = 0; q < 20; ++q) {
     const std::vector<std::string>& query = docs[rng.Uniform(docs.size())];
     for (int t = 1; t <= 3; ++t) {
-      auto scan = *index->SearchTOccurrence(query, t,
-                                            TOccurrenceAlgorithm::kScanCount);
-      auto heap = *index->SearchTOccurrence(query, t,
-                                            TOccurrenceAlgorithm::kHeapMerge);
-      EXPECT_EQ(scan, heap) << "t=" << t;
+      std::vector<int64_t> expected;
+      for (int64_t pk = 0; pk < static_cast<int64_t>(docs.size()); ++pk) {
+        const std::vector<std::string>& doc = docs[static_cast<size_t>(pk)];
+        int hits = 0;
+        for (const std::string& token : query) {
+          hits += std::count(doc.begin(), doc.end(), token) > 0 ? 1 : 0;
+        }
+        if (hits >= t) expected.push_back(pk);
+      }
+      auto counted = *index->SearchTOccurrence(query, t, nullptr, &scratch);
+      auto gathered = *index->SearchTOccurrence(query, t);
+      EXPECT_EQ(counted, expected) << "t=" << t;
+      EXPECT_EQ(gathered, expected) << "t=" << t;
     }
   }
 }
@@ -463,9 +475,7 @@ TEST(InvertedIndexTest, StatsPopulated) {
   ASSERT_TRUE(index->Insert({"a", "b"}, 1).ok());
   ASSERT_TRUE(index->Insert({"a"}, 2).ok());
   InvertedSearchStats stats;
-  auto result = *index->SearchTOccurrence({"a", "b"}, 1,
-                                          TOccurrenceAlgorithm::kScanCount,
-                                          &stats);
+  auto result = *index->SearchTOccurrence({"a", "b"}, 1, &stats);
   EXPECT_EQ(result.size(), 2u);
   EXPECT_EQ(stats.lists_probed, 2u);
   EXPECT_EQ(stats.postings_read, 3u);

@@ -126,9 +126,7 @@ TEST(InvertedIndexDictionaryTest, UnknownTokenProbesAreEmptyAndFree) {
   auto index = *InvertedIndex::Open(dir.path() + "/inv");
   ASSERT_TRUE(index->Insert({"a"}, 1).ok());
   InvertedSearchStats stats;
-  auto result = index->SearchTOccurrence({"nope"}, 1,
-                                         TOccurrenceAlgorithm::kScanCount,
-                                         &stats);
+  auto result = index->SearchTOccurrence({"nope"}, 1, &stats);
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result->empty());
   EXPECT_EQ(stats.lists_probed, 1u);
@@ -144,16 +142,10 @@ TEST(PostingCacheTest, SecondProbeHitsCache) {
   auto index = *InvertedIndex::Open(dir.path() + "/inv");
   ASSERT_TRUE(index->BulkLoad({{"t", 1}, {"t", 2}}).ok());
   InvertedSearchStats stats;
-  ASSERT_TRUE(index
-                  ->SearchTOccurrence({"t"}, 1,
-                                      TOccurrenceAlgorithm::kScanCount, &stats)
-                  .ok());
+  ASSERT_TRUE(index->SearchTOccurrence({"t"}, 1, &stats).ok());
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, 0u);
-  ASSERT_TRUE(index
-                  ->SearchTOccurrence({"t"}, 1,
-                                      TOccurrenceAlgorithm::kScanCount, &stats)
-                  .ok());
+  ASSERT_TRUE(index->SearchTOccurrence({"t"}, 1, &stats).ok());
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits, 1u);
   EXPECT_EQ(index->cached_lists(), 1u);
@@ -163,13 +155,10 @@ TEST(PostingCacheTest, DisabledCacheDecodesEveryTime) {
   TempDir dir;
   auto index = *InvertedIndex::Open(dir.path() + "/inv");
   ASSERT_TRUE(index->BulkLoad({{"t", 1}}).ok());
+  index->set_cache_budget_postings(0);
   InvertedSearchStats stats;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(index
-                    ->SearchTOccurrence({"t"}, 1,
-                                        TOccurrenceAlgorithm::kScanCount,
-                                        &stats, /*use_cache=*/false)
-                    .ok());
+    ASSERT_TRUE(index->SearchTOccurrence({"t"}, 1, &stats).ok());
   }
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_misses, 3u);
@@ -250,17 +239,19 @@ TEST(PostingCacheTest, CachedAndUncachedSearchesAgree) {
   }
   ASSERT_TRUE(index->BulkLoad(std::move(postings)).ok());
   std::vector<std::string> query = {"a0", "a1", "b0", "b2", "missing"};
-  for (auto algorithm : {TOccurrenceAlgorithm::kScanCount,
-                         TOccurrenceAlgorithm::kHeapMerge}) {
-    for (int t = 1; t <= 3; ++t) {
-      auto cached =
-          index->SearchTOccurrence(query, t, algorithm, nullptr, true);
-      auto uncached =
-          index->SearchTOccurrence(query, t, algorithm, nullptr, false);
-      ASSERT_TRUE(cached.ok());
-      ASSERT_TRUE(uncached.ok());
-      EXPECT_EQ(*cached, *uncached) << "t=" << t;
-    }
+  for (int t = 1; t <= 3; ++t) {
+    index->set_cache_budget_postings(1000);  // room for every list
+    ASSERT_TRUE(index->SearchTOccurrence(query, t).ok());  // warm
+    InvertedSearchStats cached_stats;
+    auto cached = index->SearchTOccurrence(query, t, &cached_stats);
+    EXPECT_EQ(cached_stats.cache_misses, 0u);
+    index->set_cache_budget_postings(0);
+    InvertedSearchStats uncached_stats;
+    auto uncached = index->SearchTOccurrence(query, t, &uncached_stats);
+    EXPECT_EQ(uncached_stats.cache_hits, 0u);
+    ASSERT_TRUE(cached.ok());
+    ASSERT_TRUE(uncached.ok());
+    EXPECT_EQ(*cached, *uncached) << "t=" << t;
   }
 }
 

@@ -1,6 +1,6 @@
-// Transport backend tests: rows-frame codec round trips, the shared-memory
-// backend under concurrency (this file is in the TSan CI pass), the socket
-// backend's forked-worker protocol, drains, and the engine-level seam
+// Transport backend tests: rows-frame codec round trips, the socket
+// backend's forked-worker protocol under concurrency (this file is in the
+// TSan CI pass), drains, and the engine-level seam
 // (EngineOptions::transport / SIMDB_TRANSPORT, measured vs modeled network
 // accounting).
 #include <gtest/gtest.h>
@@ -96,15 +96,20 @@ TEST(RowsFrameTest, TrailingPayloadRejected) {
 
 TEST(TransportKindTest, NamesAndEnvParsing) {
   EXPECT_STREQ(TransportKindName(TransportKind::kModeled), "modeled");
-  EXPECT_STREQ(TransportKindName(TransportKind::kSharedMemory), "shm");
   EXPECT_STREQ(TransportKindName(TransportKind::kSocket), "socket");
   ::unsetenv("SIMDB_TRANSPORT");
   EXPECT_EQ(KindFromEnv(TransportKind::kModeled), TransportKind::kModeled);
   ::setenv("SIMDB_TRANSPORT", "socket", 1);
   EXPECT_EQ(KindFromEnv(TransportKind::kModeled), TransportKind::kSocket);
+  // A removed backend's name is not silently remapped: it falls back, with
+  // a warning naming the ignored value and the backend used.
   ::setenv("SIMDB_TRANSPORT", "shared-memory", 1);
-  EXPECT_EQ(KindFromEnv(TransportKind::kModeled),
-            TransportKind::kSharedMemory);
+  ::testing::internal::CaptureStderr();
+  EXPECT_EQ(KindFromEnv(TransportKind::kModeled), TransportKind::kModeled);
+  std::string warning = ::testing::internal::GetCapturedStderr();
+  EXPECT_NE(warning.find("SIMDB_TRANSPORT=shared-memory"), std::string::npos)
+      << warning;
+  EXPECT_NE(warning.find("using modeled"), std::string::npos) << warning;
   ::setenv("SIMDB_TRANSPORT", "bogus", 1);
   EXPECT_EQ(KindFromEnv(TransportKind::kSocket), TransportKind::kSocket);
   ::unsetenv("SIMDB_TRANSPORT");
@@ -114,93 +119,6 @@ TEST(ModeledTransportTest, NeverShipsAndDrainsTrivially) {
   std::unique_ptr<Transport> t = MakeTransport(TransportKind::kModeled, 4);
   EXPECT_FALSE(t->measures_wall_clock());
   EXPECT_FALSE(t->ShouldShip(100, 1 << 20));
-  EXPECT_TRUE(t->Drain().ok());
-}
-
-TEST(SharedMemoryTransportTest, ShipIsIdentityOnRows) {
-  std::unique_ptr<Transport> t =
-      MakeTransport(TransportKind::kSharedMemory, 1);
-  EXPECT_TRUE(t->measures_wall_clock());
-  EXPECT_TRUE(t->ShouldShip(1, 0));  // ships even purely local traffic
-  EXPECT_FALSE(t->ShouldShip(0, 0));
-  Rows rows = MakeRows(1, 20);
-  Rows original = rows;
-  double seconds = -1;
-  ASSERT_TRUE(t->Ship(0, &rows, &seconds).ok());
-  EXPECT_TRUE(RowsEqual(rows, original));
-  EXPECT_GE(seconds, 0.0);
-  EXPECT_TRUE(t->Drain().ok());
-}
-
-TEST(SharedMemoryTransportTest, ConcurrentShipsStayIsolated) {
-  // More shippers than in-flight frame slots: threads contend on the slot
-  // pool's mutex/condvar and every thread must still get its own rows back.
-  std::unique_ptr<Transport> t =
-      MakeTransport(TransportKind::kSharedMemory, 4);
-  constexpr int kThreads = 16;
-  constexpr int kShipsPerThread = 50;
-  std::atomic<int> failures{0};
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int i = 0; i < kThreads; ++i) {
-    threads.emplace_back([&, i] {
-      for (int s = 0; s < kShipsPerThread; ++s) {
-        Rows rows = MakeRows(static_cast<uint64_t>(i * 1000 + s), 8);
-        Rows original = rows;
-        double seconds = 0;
-        if (!t->Ship(i % 4, &rows, &seconds).ok() ||
-            !RowsEqual(rows, original)) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (std::thread& th : threads) th.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_TRUE(t->Drain().ok());
-}
-
-TEST(SharedMemoryTransportTest, ConcurrentDrainsDoNotLoseShipWakeups) {
-  // Regression: shippers and drainers used to share one condition variable
-  // with notify_one on slot release, so a Drain waiter could swallow the
-  // notification meant for a blocked shipper and deadlock the pool. Hammer
-  // ships from more threads than slots while drainers wait concurrently; a
-  // hang here is the bug.
-  std::unique_ptr<Transport> t =
-      MakeTransport(TransportKind::kSharedMemory, 2);
-  constexpr int kShippers = 12;
-  constexpr int kShipsPerThread = 40;
-  std::atomic<int> failures{0};
-  std::atomic<bool> shipping_done{false};
-  std::vector<std::thread> threads;
-  threads.reserve(kShippers + 2);
-  for (int i = 0; i < kShippers; ++i) {
-    threads.emplace_back([&, i] {
-      for (int s = 0; s < kShipsPerThread; ++s) {
-        Rows rows = MakeRows(static_cast<uint64_t>(i * 777 + s), 4);
-        double seconds = 0;
-        if (!t->Ship(i % 2, &rows, &seconds).ok()) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int d = 0; d < 2; ++d) {
-    threads.emplace_back([&] {
-      while (!shipping_done.load(std::memory_order_relaxed)) {
-        // Bounded drains interleave with shipping; a timeout is a valid
-        // outcome under load, losing a shipper's wakeup is not.
-        Status s = t->Drain(/*timeout_seconds=*/0.05);
-        if (!s.ok() && s.code() != StatusCode::kDeadlineExceeded) {
-          failures.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-  for (int i = 0; i < kShippers; ++i) threads[static_cast<size_t>(i)].join();
-  shipping_done.store(true, std::memory_order_relaxed);
-  for (size_t i = kShippers; i < threads.size(); ++i) threads[i].join();
-  EXPECT_EQ(failures.load(), 0);
   EXPECT_TRUE(t->Drain().ok());
 }
 
@@ -396,14 +314,13 @@ constexpr const char* kJoinQuery =
     "where word-tokens($a.title) ~= word-tokens($b.title) "
     "and $a.id < $b.id return { \"a\": $a.id, \"b\": $b.id };";
 
-/// All backends must return identical rows for an exchange-heavy join, and
-/// measured backends must flip the stats/cost-model to measured-network
+/// Both backends must return identical rows for an exchange-heavy join, and
+/// the measured backend must flip the stats/cost-model to measured-network
 /// accounting.
 TEST(EngineTransportTest, BackendsAnswerIdenticallyAndAccountingFlips) {
   std::vector<std::string> expected;
   for (TransportKind kind :
-       {TransportKind::kModeled, TransportKind::kSharedMemory,
-        TransportKind::kSocket}) {
+       {TransportKind::kModeled, TransportKind::kSocket}) {
     std::string dir = ScratchDir(TransportKindName(kind));
     storage::RemoveAllBestEffort(dir);
     core::QueryProcessor engine(EngineOptionsFor(dir, kind));
@@ -440,11 +357,11 @@ TEST(EngineTransportTest, BackendsAnswerIdenticallyAndAccountingFlips) {
 TEST(EngineTransportTest, EnvOverrideSelectsBackend) {
   std::string dir = ScratchDir("env");
   storage::RemoveAllBestEffort(dir);
-  ::setenv("SIMDB_TRANSPORT", "shm", 1);
+  ::setenv("SIMDB_TRANSPORT", "socket", 1);
   core::QueryProcessor engine(
       EngineOptionsFor(dir, TransportKind::kModeled));
   ::unsetenv("SIMDB_TRANSPORT");
-  EXPECT_EQ(engine.transport_kind(), TransportKind::kSharedMemory);
+  EXPECT_EQ(engine.transport_kind(), TransportKind::kSocket);
   storage::RemoveAllBestEffort(dir);
 }
 
@@ -457,17 +374,17 @@ TEST(EngineTransportTest, SetTransportSwitchesBackend) {
   core::QueryResult modeled;
   ASSERT_TRUE(engine.Execute(kJoinQuery, &modeled).ok());
   EXPECT_FALSE(modeled.exec.network_measured);
-  engine.set_transport(TransportKind::kSharedMemory);
-  core::QueryResult shm;
-  ASSERT_TRUE(engine.Execute(kJoinQuery, &shm).ok());
-  EXPECT_TRUE(shm.exec.network_measured);
+  engine.set_transport(TransportKind::kSocket);
+  core::QueryResult socket;
+  ASSERT_TRUE(engine.Execute(kJoinQuery, &socket).ok());
+  EXPECT_TRUE(socket.exec.network_measured);
   auto normalize = [](const core::QueryResult& r) {
     std::vector<std::string> rows;
     for (const Value& row : r.rows) rows.push_back(row.ToJson());
     std::sort(rows.begin(), rows.end());
     return rows;
   };
-  EXPECT_EQ(normalize(modeled), normalize(shm));
+  EXPECT_EQ(normalize(modeled), normalize(socket));
   storage::RemoveAllBestEffort(dir);
 }
 
