@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 namespace simdb::adm {
 
@@ -239,6 +240,50 @@ uint64_t Value::Hash() const {
     }
   }
   return 0;
+}
+
+bool Value::Identical(const Value& a, const Value& b) {
+  if (a.type_ != b.type_) return false;
+  switch (a.type_) {
+    case ValueType::kMissing:
+    case ValueType::kNull:
+      return true;
+    case ValueType::kBoolean:
+      return a.AsBoolean() == b.AsBoolean();
+    case ValueType::kInt64:
+      return a.AsInt64() == b.AsInt64();
+    case ValueType::kDouble: {
+      double da = a.AsDoubleExact(), db = b.AsDoubleExact();
+      return std::memcmp(&da, &db, sizeof(double)) == 0;
+    }
+    case ValueType::kString:
+      return a.AsString() == b.AsString();
+    case ValueType::kArray:
+    case ValueType::kMultiset: {
+      const Array& la = a.AsList();
+      const Array& lb = b.AsList();
+      if (&la == &lb) return true;  // one shared payload
+      if (la.size() != lb.size()) return false;
+      for (size_t i = 0; i < la.size(); ++i) {
+        if (!Identical(la[i], lb[i])) return false;
+      }
+      return true;
+    }
+    case ValueType::kObject: {
+      const Object& oa = a.AsObject();
+      const Object& ob = b.AsObject();
+      if (&oa == &ob) return true;
+      if (oa.size() != ob.size()) return false;
+      for (size_t i = 0; i < oa.size(); ++i) {
+        if (oa[i].first != ob[i].first ||
+            !Identical(oa[i].second, ob[i].second)) {
+          return false;
+        }
+      }
+      return true;
+    }
+  }
+  return false;
 }
 
 size_t Value::MemoryUsage() const {

@@ -136,6 +136,11 @@ class Value {
   /// Hash consistent with operator== (numeric values hash by double value).
   uint64_t Hash() const;
 
+  /// Type- and bit-exact equality: exactly when Serialize writes the same
+  /// bytes (1 != 1.0, -0.0 != 0.0, a NaN equals the same NaN, an array
+  /// differs from a multiset). Identical values have equal Hash()es.
+  static bool Identical(const Value& a, const Value& b);
+
   /// Compact JSON-style rendering (objects print fields in sorted order).
   std::string ToJson() const;
 

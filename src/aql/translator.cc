@@ -35,6 +35,9 @@ Result<TranslationResult> Translator::TranslateQuery(const AExprPtr& root) {
     SIMDB_ASSIGN_OR_RETURN(TranslationResult inner,
                            TranslateFlwor(*root->children[0]->subquery));
     inner.is_count = true;
+    // Only the number of rows is read, so the plan projects no variable and
+    // the return expression's bindings become dead.
+    inner.plan->project_vars.clear();
     return inner;
   }
   // A scalar expression: evaluate over a single constant tuple.

@@ -52,19 +52,6 @@ std::optional<SimBatchCall> MatchSimCheckCall(const ExprPtr& expr) {
   return out;
 }
 
-std::optional<SimBatchCall> MatchSimEvalCall(const ExprPtr& expr) {
-  const auto* call = dynamic_cast<const CallExpr*>(expr.get());
-  if (call == nullptr || call->name() != "similarity-jaccard" ||
-      call->args().size() != 2) {
-    return std::nullopt;
-  }
-  SimBatchCall out;
-  out.kind = SimBatchCall::Kind::kJaccardEval;
-  out.arg_a = call->args()[0];
-  out.arg_b = call->args()[1];
-  return out;
-}
-
 bool ColumnRange(const Expr* expr, int* min_col, int* max_col) {
   if (const auto* col = dynamic_cast<const ColumnExpr*>(expr)) {
     *min_col = std::min(*min_col, col->index());

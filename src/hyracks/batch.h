@@ -3,8 +3,8 @@
 
 // Columnar batch execution support for the hot similarity operators.
 //
-// The batch path detects a vectorizable similarity call at plan-build time
-// (MatchSimCheckCall / MatchSimEvalCall), encodes token lists into dense
+// The batch path detects a vectorizable similarity check at plan-build time
+// (MatchSimCheckCall), encodes token lists into dense
 // occurrence-distinct uint32 ids (TokenIdEncoder), stages up to
 // ExecContext::batch_size rows into CSR scratch batches (SimIdBatch /
 // SimCharBatch with a selection vector of source-row positions), and runs
@@ -47,6 +47,11 @@ struct BatchStats {
     CountOp(ctx, "exec.batch.memo_hits", memo_hits);
   }
 };
+
+/// Rows (pairs, for joins) staged per kernel batch.
+inline size_t BatchCapacity(const ExecContext& ctx) {
+  return ctx.batch_size > 0 ? static_cast<size_t>(ctx.batch_size) : 1;
+}
 
 /// Transparent string hashing, so a map keyed on std::string is probed with
 /// a std::string_view without building a key.
@@ -103,7 +108,6 @@ struct SimBatchCall {
   enum class Kind {
     kJaccardCheck,       // similarity-jaccard-check(a, b, literal-delta)
     kEditDistanceCheck,  // edit-distance-check(a, b, literal-k)
-    kJaccardEval,        // similarity-jaccard(a, b)
   };
   Kind kind;
   ExprPtr arg_a;
@@ -112,14 +116,10 @@ struct SimBatchCall {
   StringArg key_a, key_b;  // the strings arg_a and arg_b read
 };
 
-/// Matches the verification predicates the optimizer emits for SELECT and
-/// NL-JOIN: similarity-jaccard-check / edit-distance-check with a numeric
-/// literal threshold.
+/// Matches the verification predicates the optimizer emits for SELECT,
+/// NL-JOIN and HASH-JOIN residuals: similarity-jaccard-check /
+/// edit-distance-check with a numeric literal threshold.
 std::optional<SimBatchCall> MatchSimCheckCall(const ExprPtr& expr);
-
-/// Matches the similarity-jaccard(a, b) ASSIGN expression (the three-stage
-/// join's verify column).
-std::optional<SimBatchCall> MatchSimEvalCall(const ExprPtr& expr);
 
 /// Accumulates the [min, max] column-reference range of `expr` into
 /// *min_col / *max_col. Returns false for expression shapes it does not

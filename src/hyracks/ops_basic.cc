@@ -20,10 +20,6 @@ Result<int> SelectDecision(const ExprPtr& predicate, const Tuple& row) {
   return 0;
 }
 
-size_t BatchCapacity(const ExecContext& ctx) {
-  return ctx.batch_size > 0 ? static_cast<size_t>(ctx.batch_size) : 1;
-}
-
 }  // namespace
 
 Result<Rows> SelectOp::ExecutePartition(ExecContext& ctx, int,
@@ -123,75 +119,21 @@ std::string AssignOp::name() const {
   return out;
 }
 
-Result<Rows> AssignOp::ExecutePartition(ExecContext& ctx, int,
+Result<Rows> AssignOp::ExecutePartition(ExecContext&, int,
                                         const std::vector<const Rows*>& inputs) {
   const Rows& in = *inputs[0];
-  BatchStats bs;
   Rows out;
   out.reserve(in.size());
-  if (!ctx.batch_execution || !batch_.has_value()) {
-    for (const Tuple& row : in) {
-      Tuple extended = ExtendedRow(row, exprs_.size());
-      // Evaluate against the growing tuple so later expressions may
-      // reference the columns produced by earlier ones.
-      for (const ExprPtr& e : exprs_) {
-        SIMDB_ASSIGN_OR_RETURN(Value v, e->Eval(extended));
-        extended.push_back(std::move(v));
-      }
-      out.push_back(std::move(extended));
+  for (const Tuple& row : in) {
+    Tuple extended = ExtendedRow(row, exprs_.size());
+    // Evaluate against the growing tuple so later expressions may reference
+    // the columns produced by earlier ones.
+    for (const ExprPtr& e : exprs_) {
+      SIMDB_ASSIGN_OR_RETURN(Value v, e->Eval(extended));
+      extended.push_back(std::move(v));
     }
-    bs.fallback_rows = in.size();
-    bs.Emit(ctx);
-    return out;
+    out.push_back(std::move(extended));
   }
-
-  // Batch path: the last expression is similarity-jaccard(a, b). Earlier
-  // columns evaluate per row as usual; encodable (a, b) pairs are staged
-  // into a CSR batch whose kernel result fills the final column after each
-  // chunk. Rows are appended in input order either way.
-  const SimBatchCall& call = *batch_;
-  const size_t cap = BatchCapacity(ctx);
-  TokenIdEncoder encoder;
-  EncodedList enc_a, enc_b;
-  SimIdBatch ids;
-  for (size_t base = 0; base < in.size(); base += cap) {
-    const size_t n = std::min(cap, in.size() - base);
-    ids.Clear();
-    for (size_t r = 0; r < n; ++r) {
-      Tuple extended = ExtendedRow(in[base + r], exprs_.size());
-      for (size_t e = 0; e + 1 < exprs_.size(); ++e) {
-        SIMDB_ASSIGN_OR_RETURN(Value v, exprs_[e]->Eval(extended));
-        extended.push_back(std::move(v));
-      }
-      // Same argument evaluation order as the tuple path's final CallExpr.
-      SIMDB_ASSIGN_OR_RETURN(Value va, call.arg_a->Eval(extended));
-      SIMDB_ASSIGN_OR_RETURN(Value vb, call.arg_b->Eval(extended));
-      encoder.Encode(va, &enc_a);
-      encoder.Encode(vb, &enc_b);
-      if (SameSpace(enc_a, enc_b)) {
-        ++bs.rows;
-        ids.Push(static_cast<uint32_t>(out.size()), enc_a.ids, enc_b.ids);
-        out.push_back(std::move(extended));  // final column filled below
-      } else {
-        ++bs.fallback_rows;
-        SIMDB_ASSIGN_OR_RETURN(Value v, exprs_.back()->Eval(extended));
-        extended.push_back(std::move(v));
-        out.push_back(std::move(extended));
-      }
-    }
-    if (!ids.rows.empty()) {
-      ++bs.batches;
-      ids.out.resize(ids.size());
-      simd::JaccardEvalPairs(ids.a_ids.data(), ids.a_offsets.data(),
-                             ids.b_ids.data(), ids.b_offsets.data(),
-                             ids.size(), ids.out.data(),
-                             /*assume_unique=*/true);
-      for (size_t i = 0; i < ids.size(); ++i) {
-        out[ids.rows[i]].push_back(Value::Double(ids.out[i]));
-      }
-    }
-  }
-  bs.Emit(ctx);
   return out;
 }
 

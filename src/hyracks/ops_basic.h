@@ -33,15 +33,11 @@ class SelectOp : public PartitionOperator {
   std::optional<SimBatchCall> batch_;
 };
 
-/// Appends one computed column per expression to each row. When the last
-/// expression is similarity-jaccard(a, b) and batch execution is on, that
-/// column is computed through the batched SIMD kernel.
+/// Appends one computed column per expression to each row.
 class AssignOp : public PartitionOperator {
  public:
   AssignOp(std::vector<ExprPtr> exprs, std::vector<std::string> names)
-      : exprs_(std::move(exprs)),
-        names_(std::move(names)),
-        batch_(exprs_.empty() ? std::nullopt : MatchSimEvalCall(exprs_.back())) {}
+      : exprs_(std::move(exprs)), names_(std::move(names)) {}
   std::string name() const override;
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
                                 const std::vector<const Rows*>& inputs)
@@ -51,7 +47,6 @@ class AssignOp : public PartitionOperator {
  private:
   std::vector<ExprPtr> exprs_;
   std::vector<std::string> names_;
-  std::optional<SimBatchCall> batch_;
 };
 
 /// Keeps only the listed column positions, in the given order.

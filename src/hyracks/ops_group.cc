@@ -1,8 +1,6 @@
 #include "hyracks/ops_group.h"
 
-#include <unordered_map>
-
-#include "storage/key.h"
+#include "hyracks/key_index.h"
 
 namespace simdb::hyracks {
 
@@ -27,24 +25,38 @@ struct GroupState {
 Result<Rows> HashGroupOp::ExecutePartition(
     ExecContext&, int, const std::vector<const Rows*>& inputs) {
   // Group states in first-seen order (so results are deterministic under any
-  // executor), found through the encoded key tuple.
-  std::unordered_map<std::string, size_t> slots;
+  // executor), found through the key values in place: a key expression that
+  // reads a column is peeked, any other is evaluated into `computed`.
+  const size_t nkeys = key_exprs_.size();
+  KeyIndex slots;
   std::vector<GroupState> groups;
+  std::vector<const Value*> key(nkeys);
+  Tuple computed(nkeys);
   for (const Tuple& row : *inputs[0]) {
-    Tuple keys;
-    keys.reserve(key_exprs_.size() + aggs_.size());  // the output row's width
-    for (const ExprPtr& ke : key_exprs_) {
-      SIMDB_ASSIGN_OR_RETURN(Value k, ke->Eval(row));
-      keys.push_back(std::move(k));
+    for (size_t k = 0; k < nkeys; ++k) {
+      key[k] = key_exprs_[k]->Peek(row);
+      if (key[k] == nullptr) {
+        SIMDB_ASSIGN_OR_RETURN(computed[k], key_exprs_[k]->Eval(row));
+        key[k] = &computed[k];
+      }
     }
-    auto [it, inserted] =
-        slots.try_emplace(storage::EncodeKey(keys), groups.size());
-    if (inserted) groups.emplace_back();
-    GroupState& g = groups[it->second];
+    uint64_t hash = HashKeyValues(nkeys, [&](size_t k) -> const Value& {
+      return *key[k];
+    });
+    auto [slot, inserted] = slots.FindOrInsert(hash, [&](uint32_t s) {
+      const Tuple& seen = groups[s].keys;
+      for (size_t k = 0; k < nkeys; ++k) {
+        if (!Value::Identical(seen[k], *key[k])) return false;
+      }
+      return true;
+    });
     if (inserted) {
-      g.keys = std::move(keys);
+      GroupState& g = groups.emplace_back();
+      g.keys.reserve(nkeys + aggs_.size());  // the output row's width
+      for (const Value* v : key) g.keys.push_back(*v);
       g.aggs.resize(aggs_.size());
     }
+    GroupState& g = groups[slot];
     for (size_t a = 0; a < aggs_.size(); ++a) {
       const AggSpec& spec = aggs_[a];
       AggState& st = g.aggs[a];

@@ -14,14 +14,19 @@ namespace simdb::hyracks {
 /// Local per-partition equi hash join. Inputs must already be co-partitioned
 /// on the join keys (via HashExchange) or one side broadcast. Output tuples
 /// are left columns followed by right columns. `residual` (over the combined
-/// tuple) filters matches when set; MISSING/NULL keys never match.
+/// tuple) filters matches when set; MISSING/NULL keys never match, and keys
+/// match when their values are Value::Identical.
+///
+/// When the residual is a recognized Jaccard check whose arguments each read
+/// only one input's columns, the batch path encodes each probe row's
+/// argument once and each build row's once (on its first match), verifies
+/// the matches through the SIMD kernel a batch at a time, and builds
+/// combined rows only for the pairs that pass. Pairs the encoder cannot
+/// handle fall back to the tuple evaluator in pair order.
 class HashJoinOp : public PartitionOperator {
  public:
   HashJoinOp(std::vector<int> left_keys, std::vector<int> right_keys,
-             ExprPtr residual = nullptr)
-      : left_keys_(std::move(left_keys)),
-        right_keys_(std::move(right_keys)),
-        residual_(std::move(residual)) {}
+             ExprPtr residual = nullptr);
   std::string name() const override { return "HASH-JOIN"; }
   int num_inputs() const override { return 2; }
   Result<Rows> ExecutePartition(ExecContext& ctx, int p,
@@ -35,6 +40,9 @@ class HashJoinOp : public PartitionOperator {
   std::vector<int> left_keys_;
   std::vector<int> right_keys_;
   ExprPtr residual_;
+  std::optional<SimBatchCall> batch_;  // a Jaccard-check residual
+  int a_min_ = INT_MAX, a_max_ = -1;
+  int b_min_ = INT_MAX, b_max_ = -1;
 };
 
 /// Local per-partition nested-loop theta join: emits left×right pairs where
