@@ -1,9 +1,16 @@
 #!/usr/bin/env bash
-# Runs the kernel micro-benchmarks (bench_kernels) and the Figure-22
-# similarity-selection benchmark (bench_fig22_selection) and merges their
-# results into BENCH_kernels.json at the repo root.
+# Runs the kernel micro-benchmarks (bench_kernels), the Figure-22
+# similarity-selection benchmark (bench_fig22_selection) and the profile,
+# serving and transport benches, and merges their results into one JSON
+# record with a `context` block (git SHA, build type, nproc, compiler, date).
+# The record goes to <build_dir>/BENCH_kernels.json; a full (non-quick) run
+# also appends it, without the per-operator profile trees, as one line of
+# BENCH_history.jsonl at the repo root, so runs accumulate rather than
+# replace each other. The checked-in BENCH_kernels.json is refreshed only by
+# naming it as the output.
 #
-# Usage: bench/run_benches.sh [build_dir]     (default: <repo>/build)
+# Usage: bench/run_benches.sh [build_dir] [output.json]
+#        (defaults: <repo>/build, <build_dir>/BENCH_kernels.json)
 #
 # Environment:
 #   SIMDB_BENCH_SCALE  record-count multiplier for the dataset benches
@@ -13,7 +20,8 @@ set -euo pipefail
 
 ROOT="$(cd "$(dirname "$0")/.." && pwd)"
 BUILD="${1:-$ROOT/build}"
-OUT="$ROOT/BENCH_kernels.json"
+OUT="${2:-$BUILD/BENCH_kernels.json}"
+HISTORY="$ROOT/BENCH_history.jsonl"
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 
@@ -75,13 +83,24 @@ if [[ "$QUICK" == "1" ]]; then
 fi
 "$TRANSPORT_BIN" "${TRANSPORT_FLAGS[@]}"
 
+cache_value() {
+  sed -n "s/^$1:[A-Z]*=//p" "$BUILD/CMakeCache.txt" 2>/dev/null | head -n 1
+}
+CXX_PATH="$(cache_value CMAKE_CXX_COMPILER)"
+COMPILER="$("${CXX_PATH:-c++}" --version 2>/dev/null | head -n 1 || true)"
+GIT_SHA="$(git -C "$ROOT" rev-parse HEAD 2>/dev/null || echo unknown)"
+GIT_DIRTY="$(git -C "$ROOT" status --porcelain 2>/dev/null | head -c 1)"
+
 python3 - "$TMP/kernels.json" "$TMP/scheduler.json" "$TMP/verify.json" \
   "$TMP/fig22.txt" "$TMP/profile.json" "$TMP/serving.json" \
-  "$TMP/transport.json" "$OUT" "$QUICK" <<'PY'
-import json, sys
+  "$TMP/transport.json" "$OUT" "$QUICK" "$HISTORY" "$GIT_SHA" \
+  "${GIT_DIRTY:+dirty}" "$(cache_value CMAKE_BUILD_TYPE)" "$(nproc)" \
+  "$COMPILER" <<'PY'
+import datetime, json, platform, sys
 
 (kernels_path, scheduler_path, verify_path, fig22_path, profile_path,
- serving_path, transport_path, out_path, quick) = sys.argv[1:10]
+ serving_path, transport_path, out_path, quick, history_path, git_sha,
+ dirty, build_type, nproc, compiler) = sys.argv[1:16]
 with open(kernels_path) as f:
     kernels = json.load(f)
 with open(scheduler_path) as f:
@@ -97,8 +116,19 @@ with open(serving_path) as f:
 with open(transport_path) as f:
     transport = json.load(f)
 
+context = {
+    "git_sha": git_sha,
+    "git_dirty": dirty == "dirty",
+    "build_type": build_type,
+    "nproc": int(nproc),
+    "compiler": compiler,
+    "host": platform.node(),
+    "date": datetime.datetime.now(datetime.timezone.utc).isoformat(
+        timespec="seconds"),
+}
 merged = {
     "generated_by": "bench/run_benches.sh",
+    "context": context,
     "quick_mode": quick == "1",
     "bench_kernels": kernels,
     "bench_scheduler": scheduler,
@@ -115,4 +145,20 @@ with open(out_path, "w") as f:
 names = [b.get("name", "") for b in kernels.get("benchmarks", [])]
 print(f"wrote {out_path}: {len(names)} kernel benchmarks, "
       f"{len(fig22_lines)} fig22 output lines")
+
+# Quick-mode numbers are not meaningful, so only full runs join the history.
+if quick != "1":
+    entry = dict(merged)
+    entry["query_profile"] = {
+        "queries": [
+            {"name": q["name"],
+             "wall_seconds": q["profile"].get("wall_seconds"),
+             "compute_seconds": q["profile"].get("compute_seconds"),
+             "operators": len(q["profile"].get("operators", []))}
+            for q in query_profile.get("queries", [])],
+        "overhead": query_profile.get("overhead"),
+    }
+    with open(history_path, "a") as f:
+        f.write(json.dumps(entry, separators=(",", ":")) + "\n")
+    print(f"appended the run to {history_path}")
 PY

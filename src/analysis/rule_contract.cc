@@ -236,6 +236,8 @@ Status RuleContractChecker::AfterApply(const algebricks::RewriteRule& rule,
 
 Status RuleContractChecker::AfterGlobalRewrite(const std::string& name,
                                                const LOpPtr& root) {
+  // The rewrite changed the plan in place under the same root.
+  snapshot_valid_ = false;
   Status verified = PlanVerifier::Verify(root, catalog_);
   if (!verified.ok()) {
     return Status::PlanError("rule contract: global rewrite '" + name +

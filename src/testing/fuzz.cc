@@ -14,6 +14,7 @@ constexpr uint64_t kStreamProfile = 1;
 constexpr uint64_t kStreamData = 2;
 constexpr uint64_t kStreamQuery = 3;
 constexpr uint64_t kStreamSampler = 4;
+constexpr uint64_t kStreamRewriteShapes = 5;
 
 std::string FmtDouble(double v) {
   // Stable short rendering for thresholds (0, 0.1, ..., 1).
@@ -169,6 +170,35 @@ FuzzCase MakeFuzzCase(uint64_t seed) {
              std::to_string(limit) + " and " + first + " and " + second +
              " and $o.id != $i.id return {'o': $o.id, 'i': $i.id}",
          /*is_join=*/true});
+  }
+
+  // 4. Every other seed (on average): one of two shapes for the
+  //    variable-cleanup rewrites, from its own stream so the queries above
+  //    stay as they were for every seed. A join whose similarity is
+  //    LET-bound (inlined into the join condition), or a join over a
+  //    subquery's constructed records (whose fields fold to the scanned
+  //    record's).
+  Random shape_rng = master.Fork(kStreamRewriteShapes);
+  if (shape_rng.OneIn(2)) {
+    double delta = PickJaccardDelta(shape_rng);
+    if (shape_rng.OneIn(2)) {
+      c.queries.push_back(
+          {"let-jaccard-join",
+           "for $o in dataset D for $i in dataset D let $s := "
+           "similarity-jaccard(word-tokens($o." + text_field +
+               "), word-tokens($i." + text_field + ")) where $s >= " +
+               FmtDouble(delta) +
+               " and $o.id < $i.id return {'o': $o.id, 'i': $i.id}",
+           /*is_join=*/true});
+    } else {
+      c.queries.push_back(
+          {"subquery-record-join",
+           "for $p in (for $t in dataset D return {'id': $t.id, 'txt': $t." +
+               text_field + "}) for $i in dataset D where " +
+               jaccard_pred("$p.txt", "$i." + text_field, delta) +
+               " and $p.id < $i.id return {'o': $p.id, 'i': $i.id}",
+           /*is_join=*/true});
+    }
   }
   return c;
 }

@@ -23,7 +23,8 @@ struct FuzzQuery {
 /// A complete differential test case derived from one uint64_t seed: a text
 /// dataset profile, a record count, DDL (dataset + keyword/ngram indexes),
 /// and a handful of queries mixing Jaccard and edit-distance selections,
-/// self joins, and multi-way (two-similarity-predicate) joins. Thresholds
+/// self joins, multi-way (two-similarity-predicate) joins, and a join with a
+/// LET-bound similarity or one over subquery-constructed records. Thresholds
 /// include the corner cases delta in {0, 1} and k in {0, large} so the
 /// T-occurrence corner paths (T <= 0) are exercised.
 struct FuzzCase {

@@ -5,6 +5,7 @@
 
 #include "core/query_processor.h"
 #include "core/three_stage.h"
+#include "observability/profile.h"
 #include "storage/file_util.h"
 
 namespace simdb::core {
@@ -403,8 +404,7 @@ TEST_F(CoreExtendedTest, RowMultiplyingOuterDoesNotDuplicateSurrogates) {
 TEST_F(CoreExtendedTest, VerificationUsesCheckVariants) {
   Load("Docs", {{"maria", "one two"}, {"marla", "one three"}});
   // A scan-based selection keeps the predicate in a SELECT, where the
-  // finalize pass must swap in the check variant. (The three-stage join
-  // verifies on rank lists and never exposes a plain ge(jaccard) conjunct.)
+  // finalize pass must swap in the check variant.
   auto plan = engine_->Explain(
       "for $t in dataset Docs "
       "where similarity-jaccard(word-tokens($t.text), "
@@ -419,6 +419,86 @@ TEST_F(CoreExtendedTest, VerificationUsesCheckVariants) {
       "where similarity-jaccard(word-tokens($l.text), "
       "word-tokens($r.text)) >= 0.3 and $l.id < $r.id return $l)");
   EXPECT_EQ(count, 1);  // {one,two} vs {one,three}: 1/3 >= 0.3
+}
+
+// The three-stage plan after the cleanup rules: the verify is the prefix
+// HASH-JOIN's similarity-jaccard-check residual (batched), stage 3 joins the
+// rid pairs on plain variables (no record constructor or field-access
+// ASSIGN), and the dedup GROUP-BY carries no aggregate.
+TEST_F(CoreExtendedTest, ThreeStagePlanVerifiesInsidePrefixJoin) {
+  EngineOptions options;
+  options.data_dir = dir_ + "_verify";
+  options.topology = {2, 2};
+  options.num_threads = 2;
+  options.verify_plans = true;  // rule contracts + plan and DAG verifiers
+  engine_ = std::make_unique<QueryProcessor>(options);
+  Load("Docs", {{"a", "red apple pie"},
+                {"b", "green apple pie"},
+                {"c", "red apple pie crust"},
+                {"d", "blue sky"},
+                {"e", "blue sky high"}});
+  const std::string query =
+      "count(for $l in dataset Docs for $r in dataset Docs "
+      "where similarity-jaccard(word-tokens($l.text), "
+      "word-tokens($r.text)) >= 0.5 and $l.id < $r.id "
+      "return {'l': $l.id, 'r': $r.id})";
+  engine_->set_profile_queries(true);
+  int64_t three_stage = RunCount(query);
+  storage::RemoveAllBestEffort(options.data_dir);
+  ASSERT_TRUE(RuleFired("three-stage-similarity-join"));
+  for (const char* rule :
+       {"fold-field-of-record", "remove-dead-variables",
+        "inline-single-use-let", "merge-adjacent-projects"}) {
+    EXPECT_TRUE(RuleFired(rule)) << rule;
+  }
+
+  const std::string& plan = last_.logical_plan;
+  std::vector<std::string> lines;
+  for (size_t start = 0; start < plan.size();) {
+    size_t end = plan.find('\n', start);
+    if (end == std::string::npos) end = plan.size();
+    lines.push_back(plan.substr(start, end - start));
+    start = end + 1;
+  }
+  int check_joins = 0;
+  for (const std::string& line : lines) {
+    if (line.find("similarity-jaccard-check(") != std::string::npos) {
+      ++check_joins;
+      EXPECT_NE(line.find("JOIN cond=and(eq("), std::string::npos) << line;
+    }
+    EXPECT_EQ(line.find("similarity-jaccard("), std::string::npos) << line;
+    EXPECT_EQ(line.find(".lid"), std::string::npos) << line;
+    EXPECT_EQ(line.find("{lid"), std::string::npos) << line;
+    if (line.find("_glid:=") != std::string::npos) {
+      EXPECT_EQ(line.find("agg("), std::string::npos) << line;
+    }
+  }
+  EXPECT_EQ(check_joins, 1) << plan;
+
+  ASSERT_NE(last_.profile, nullptr);
+  int batched_joins = 0;
+  for (const obs::OperatorProfile& op : last_.profile->operators) {
+    for (const char* stage3 : {"{lid", ".lid", ".rid"}) {
+      EXPECT_EQ(op.name.find(stage3), std::string::npos) << op.name;
+    }
+    uint64_t matches = 0, batch_rows = 0, fallback = 0;
+    bool batch = false;
+    for (const auto& [name, value] : op.counters) {
+      if (name == "join.matches") matches = value;
+      if (name == "exec.batch.rows") batch_rows = value, batch = true;
+      if (name == "exec.batch.fallback_rows") fallback = value;
+    }
+    if (op.name == "HASH-JOIN" && batch) {
+      ++batched_joins;
+      EXPECT_EQ(batch_rows, matches);
+      EXPECT_EQ(fallback, 0u);
+    }
+  }
+  EXPECT_EQ(batched_joins, 1);
+
+  engine_->opt_context().enable_three_stage_join = false;
+  EXPECT_EQ(three_stage, RunCount(query));
+  EXPECT_EQ(three_stage, 3);  // (a,b) 2/4, (a,c) 3/4 and (d,e) 2/3
 }
 
 TEST_F(CoreExtendedTest, ExplainStatement) {
